@@ -23,7 +23,6 @@ from .optimize import (
     optimize_max_return,
     optimize_min_risk,
     project_to_simplex,
-    pso_search,
 )
 from .report import emit_plot, emit_report
 from .risk import RiskValue, higher_order_risk, risk_gradient_in_weights
@@ -50,7 +49,7 @@ __all__ = [
     "dominance_gap_at", "critical_thresholds", "verify",
     "RiskValue", "higher_order_risk", "risk_gradient_in_weights",
     "SolverConfig", "SolveReport", "NewtonProblem", "NewtonDiagnostics",
-    "project_to_simplex", "pso_search", "newton_refine", "kkt_residual",
+    "project_to_simplex", "newton_refine", "kkt_residual",
     "max_return_problem", "min_risk_problem",
     "optimize_max_return", "optimize_min_risk",
     "load_scenarios", "load_variable", "load_weights", "dump_scenarios",

@@ -2,7 +2,8 @@
 
 Exit codes: 0 success with dominance, 1 usage/domain error,
 2 infeasible or not dominant, 3 I/O error.  The SD_SEED environment
-variable overrides --seed when set.
+variable overrides --seed when set; the seed only fills the JSON report's
+seed field, since solves are deterministic.
 """
 
 from __future__ import annotations
@@ -91,7 +92,8 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--prob-col", dest="prob_col", default=None, metavar="NAME",
                         help="column holding scenario probabilities (default: uniform)")
         sp.add_argument("--tol", type=float, default=1e-8, help="dominance constraint tolerance")
-        sp.add_argument("--seed", type=int, default=42)
+        sp.add_argument("--seed", type=int, default=42,
+                        help="recorded in the JSON report; solves are deterministic")
         sp.add_argument("--plot", default=None, metavar="FILE", help="write an SVG allocation chart")
         sp.add_argument("--json", default=None, metavar="FILE", help="also write a JSON report")
         sp.add_argument("--verbose", action="store_true")
@@ -157,7 +159,7 @@ def _cmd_solve(ns: argparse.Namespace, manifest: RunManifest) -> int:
         benchmark = load_variable(ns.benchmark_series)
     else:
         benchmark = portfolio_return_variable(s, PortfolioWeights.equal(s.d))
-    cfg = SolverConfig(rng_seed=manifest.seed, constraint_tol=manifest.tolerance)
+    cfg = SolverConfig(constraint_tol=manifest.tolerance)
     if manifest.command == "min-risk":
         spec = RiskSpec(manifest.beta, manifest.r)
         result = optimize_min_risk(s, benchmark, manifest.order, spec, cfg)

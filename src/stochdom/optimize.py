@@ -1,10 +1,17 @@
-"""Dominance-constrained portfolio drivers.
+"""Dominance-constrained portfolio optimizers.
 
-Both drivers share one pipeline: a simplex-projected particle swarm
-produces a warm start, a damped Newton method on a log-barrier
-reformulation refines it against a finite set of threshold cuts, and a
-constraint-generation loop adds the worst violated threshold from a
-full verification pass until dominance is certified.
+Both optimizers share one deterministic pipeline.  Every solve starts from
+equal weights; phase 1 moves that point strictly inside a finite set of
+threshold cuts (plus the mean condition), a damped Newton method on a
+log-barrier reformulation solves the problem over those cuts, and a
+constraint-generation loop adds the worst violated threshold from a full
+verification pass until dominance is certified.
+
+The min-risk objective is lifted over (x, q, u) with tail-excess rows
+u_j >= L_j(x) - q and u_j >= 0, and minimizes q + ||u||_{r,p} / (1 - beta):
+linear at r = 1 (Rockafellar & Uryasev, 2000) and a p-weighted r-norm for
+r > 1 (Krokhmal, Quant. Finance 2007).  One smooth convex problem thus
+serves every r >= 1.
 """
 
 from __future__ import annotations
@@ -30,33 +37,22 @@ from .types import (
 # decreasing barrier sequence, factor 10
 BARRIER_MUS = tuple(10.0**-k for k in range(2, 11))
 _INTERIOR_MARGIN = 1e-9
-_PSO_PENALTY_WEIGHT = 1e4
 
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Tuning knobs shared by the PSO and Newton phases."""
+    """Tuning knobs of the barrier Newton solve and the constraint-generation loop."""
 
-    swarm_size: int = 64
-    pso_iterations: int = 200
-    pso_inertia: float = 0.7
-    pso_cognitive: float = 1.5
-    pso_social: float = 1.5
     newton_max_iter: int = 100
     newton_tol: float = 1e-10
     constraint_tol: float = 1e-8
     max_generated_constraints: int = 50
-    rng_seed: int = 42
 
     def __post_init__(self) -> None:
-        if self.swarm_size < 1 or self.newton_max_iter < 1 or self.max_generated_constraints < 1:
-            raise DomainError("swarm_size, newton_max_iter and max_generated_constraints must be >= 1")
-        if self.pso_iterations < 0:
-            raise DomainError("pso_iterations must be >= 0")
+        if self.newton_max_iter < 1 or self.max_generated_constraints < 1:
+            raise DomainError("newton_max_iter and max_generated_constraints must be >= 1")
         if self.newton_tol <= 0 or self.constraint_tol <= 0:
             raise DomainError("tolerances must be > 0")
-        if self.rng_seed < 0:
-            raise DomainError("rng_seed must be a nonnegative integer")
 
 
 @dataclass(frozen=True, eq=False)
@@ -98,14 +94,34 @@ def project_to_simplex(v) -> PortfolioWeights:
     return PortfolioWeights(_project(u))
 
 
-def pso_search(objective, penalty, dim: int, cfg: SolverConfig | None = None) -> PortfolioWeights:
+@dataclass(frozen=True)
+class SwarmConfig:
+    """Settings of the standalone particle swarm; no solve path uses it."""
+
+    swarm_size: int = 64
+    iterations: int = 200
+    inertia: float = 0.7
+    cognitive: float = 1.5
+    social: float = 1.5
+    rng_seed: int = 42
+
+    def __post_init__(self) -> None:
+        if self.swarm_size < 1:
+            raise DomainError("swarm_size must be >= 1")
+        if self.iterations < 0:
+            raise DomainError("iterations must be >= 0")
+        if self.rng_seed < 0:
+            raise DomainError("rng_seed must be a nonnegative integer")
+
+
+def pso_search(objective, penalty, dim: int, cfg: SwarmConfig | None = None) -> PortfolioWeights:
     """Particle swarm over the simplex with penalized constraint violations.
 
     Fitness is objective + mu * penalty; mu starts at 1e4 and doubles
     whenever the incumbent stays infeasible for 10 consecutive
     iterations.  Deterministic for a fixed cfg.rng_seed.
     """
-    cfg = cfg or SolverConfig()
+    cfg = cfg or SwarmConfig()
     if dim < 1:
         raise DimensionError("dimension must be >= 1")
     rng = np.random.default_rng(cfg.rng_seed)
@@ -125,19 +141,19 @@ def pso_search(objective, penalty, dim: int, cfg: SolverConfig | None = None) ->
     pbest = pos.copy()
     pbest_obj = np.array([e[0] for e in evals])
     pbest_pen = np.array([e[1] for e in evals])
-    mu = _PSO_PENALTY_WEIGHT
+    mu = 1e4
     gi = int(np.argmin(pbest_obj + mu * pbest_pen))
     gbest = pbest[gi].copy()
     gobj, gpen = float(pbest_obj[gi]), float(pbest_pen[gi])
     infeasible_run = 0
 
-    for _ in range(cfg.pso_iterations):
+    for _ in range(cfg.iterations):
         r1 = rng.random((S, dim))
         r2 = rng.random((S, dim))
         vel = (
-            cfg.pso_inertia * vel
-            + cfg.pso_cognitive * r1 * (pbest - pos)
-            + cfg.pso_social * r2 * (gbest[None, :] - pos)
+            cfg.inertia * vel
+            + cfg.cognitive * r1 * (pbest - pos)
+            + cfg.social * r2 * (gbest[None, :] - pos)
         )
         pos = np.vstack([_project(row) for row in pos + vel])
         for i in range(S):
@@ -163,15 +179,23 @@ def pso_search(objective, penalty, dim: int, cfg: SolverConfig | None = None) ->
 class _DominanceCuts:
     """Finite family of dominance constraints g_t(x) <= 0 over thresholds.
 
+    Each smooth cut is scaled by its benchmark moment,
+    E[(t - x.xi)_+^k] / E[(t - benchmark)_+^k] - 1 <= 0, so that cuts
+    whose moments differ by orders of magnitude share one interior margin.
+
     Thresholds at which the benchmark shortfall moment vanishes admit no
     strict sublevel interior (the portfolio moment is nonnegative), so
     those collapse into per-scenario linear floor constraints
-    t - x.xi_j <= 0, which do have an interior whenever one exists.
+    t - x.xi_j <= 0, which do have an interior whenever one exists.  The
+    last row is the mean condition E[benchmark] - E[x.xi] <= 0, which
+    dominance at any order p >= 2 requires.
     """
 
     def __init__(self, scenarios: ScenarioSet, benchmark: DiscreteRandomVariable, order, thresholds):
         self.xi = scenarios.returns
         self.p = scenarios.scenario_probabilities
+        self.mr = scenarios.mean_returns()
+        self.bench_mean = mean(benchmark)
         self.k = order_value(order) - 1.0
         ts = np.unique(np.asarray(thresholds, dtype=float))
         if ts.size == 0:
@@ -185,7 +209,7 @@ class _DominanceCuts:
 
     @property
     def m(self) -> int:
-        return self.ts.size + (self.n if self.floor_t is not None else 0)
+        return self.ts.size + (self.n if self.floor_t is not None else 0) + 1
 
     def values(self, x: np.ndarray) -> np.ndarray:
         out = x @ self.xi
@@ -193,9 +217,10 @@ class _DominanceCuts:
         if self.ts.size:
             diff = np.maximum(self.ts[:, None] - out[None, :], 0.0)
             port = (diff @ self.p) if self.k == 1.0 else (diff**self.k) @ self.p
-            parts.append(port - self.bench)
+            parts.append(port / self.bench - 1.0)
         if self.floor_t is not None:
             parts.append(self.floor_t - out)
+        parts.append([self.bench_mean - float(self.mr @ x)])
         return np.concatenate(parts)
 
     def jac(self, x: np.ndarray) -> np.ndarray:
@@ -208,16 +233,17 @@ class _DominanceCuts:
                 w = np.where(active, 1.0, 0.0)
             else:
                 w = np.where(active, self.k * np.maximum(raw, 0.0) ** (self.k - 1.0), 0.0)
-            parts.append(-(w * self.p[None, :]) @ self.xi.T)
+            parts.append(-((w * self.p[None, :]) @ self.xi.T) / self.bench[:, None])
         if self.floor_t is not None:
             parts.append(-self.xi.T)
+        parts.append(-self.mr[None, :])
         return np.vstack(parts)
 
     def hess(self, x: np.ndarray, lam: np.ndarray) -> np.ndarray:
-        """Multiplier-weighted sum of cut Hessians (floor cuts are linear)."""
+        """Multiplier-weighted sum of cut Hessians (floor and mean rows are linear)."""
         if not self.ts.size or self.k <= 1.0:
             return np.zeros((self.d, self.d))
-        lam_s = lam[: self.ts.size]
+        lam_s = lam[: self.ts.size] / self.bench
         raw = self.ts[:, None] - (x @ self.xi)[None, :]
         active = raw > 0.0
         expo = self.k - 2.0
@@ -232,20 +258,28 @@ class _DominanceCuts:
         return (self.xi * coef[None, :]) @ self.xi.T
 
 
-class _MaxReturnProblem:
-    """Barrier problem: minimize -E[portfolio return] over the cut polytope."""
+class _LinearProblem:
+    """Barrier problem: minimize cost.x over the cut polytope.
 
-    def __init__(self, mean_returns: np.ndarray, cuts: _DominanceCuts):
-        self.mr = mean_returns
+    Serves max-return (cost = -E[returns]) and beta = 0 min-risk, whose
+    measure is the expected loss for every r.
+    """
+
+    def __init__(self, cost: np.ndarray, cuts: _DominanceCuts):
+        self.cost = cost
         self.cuts = cuts
-        self.d = mean_returns.size
+        self.d = cost.size
         self.n_vars = self.d
+        self.m = cuts.m
+
+    def lift(self, x, q=None, mu=None):
+        return np.array(x, dtype=float)
 
     def obj_value(self, z):
-        return -float(self.mr @ z)
+        return float(self.cost @ z)
 
     def obj_grad(self, z):
-        return -self.mr.copy()
+        return self.cost.copy()
 
     def obj_hess(self, z):
         return np.zeros((self.d, self.d))
@@ -260,126 +294,114 @@ class _MaxReturnProblem:
         return self.cuts.hess(z, lam)
 
 
-class _JointRiskProblem:
-    """Barrier problem over (x, q) for the r > 1 risk objective."""
+class _RiskProblem:
+    """Lifted barrier problem over z = (x, q, u) for every r >= 1.
+
+    Minimizes q + c * (sum_j p_j u_j^r)^(1/r), c = 1 / (1 - beta), subject
+    to the cuts on x and the rows L_j(x) - q - u_j <= 0 and -u_j <= 0,
+    where L_j(x) is the loss of scenario j.  At an optimum u = (L - q)_+,
+    so the objective equals phi(q) of the risk measure.
+    """
 
     def __init__(self, scenarios: ScenarioSet, spec: RiskSpec, cuts: _DominanceCuts):
-        self.xi = scenarios.returns
-        self.pr = scenarios.scenario_probabilities
-        self.spec = spec
-        self.cuts = cuts
-        self.d = scenarios.d
-        self.n_vars = self.d + 1
+        self.loss = spec.sign * scenarios.returns     # L(x) = x @ loss
+        self.probs = scenarios.scenario_probabilities
+        self.r = spec.r
         self.c = 1.0 / (1.0 - spec.beta)
+        self.cuts = cuts
+        self.d, self.n = scenarios.d, scenarios.n
+        self.n_vars = self.d + 1 + self.n
+        self.m = cuts.m + 2 * self.n
+
+    def lift(self, x, q, mu=None):
+        """The point (x, q, u): u = (L - q)_+ without mu; with mu, the u
+        that is central for the barrier at fixed (x, q).
+
+        Central means w_j(u_j) = mu / u_j + mu / (u_j - e_j) for each
+        scenario, e = L(x) - q and w_j the objective's slope in u_j, taken
+        at the scale of the tail (e)_+; it is found by bisection.
+        """
+        e = x @ self.loss - q
+        if mu is None:
+            return np.concatenate([x, [float(q)], np.maximum(e, 0.0)])
+        ep = np.maximum(e, 0.0)
+        s = float(self.probs @ ep**self.r)
+        scale = s ** (1.0 / self.r - 1.0) if s > 0.0 else 1.0
+
+        def excess(u):   # increasing in u above max(e, 0); its root is central
+            return self.c * scale * self.probs * u**self.r * (u - e) - mu * (2.0 * u - e)
+
+        lo, width = ep, np.ones_like(e)
+        while (excess(lo + width) <= 0.0).any():
+            width *= 2.0
+        for _ in range(60):
+            mid = lo + 0.5 * width
+            up = excess(mid) <= 0.0
+            lo = np.where(up, mid, lo)
+            width *= 0.5
+        return np.concatenate([x, [float(q)], lo + width])
 
     def _tail(self, z):
-        u = self.spec.sign * (z[: self.d] @ self.xi) - z[self.d]
-        return u, u > 0.0
+        """Clipped excess u_+, its weighted r-th moment s, and the scale s^(1/r - 1)."""
+        up = np.maximum(z[self.d + 1 :], 0.0)
+        s = float(self.probs @ up**self.r)
+        # zero tail: the norm has no gradient there, use the zero subgradient
+        return up, s, (s ** (1.0 / self.r - 1.0) if s > 0.0 else 0.0)
 
     def obj_value(self, z):
-        u, mask = self._tail(z)
-        if not mask.any():
-            return float(z[self.d])
-        s = float(np.dot(self.pr[mask], u[mask] ** self.spec.r))
-        return float(z[self.d] + self.c * s ** (1.0 / self.spec.r))
+        if self.r == 1.0:
+            return float(z[self.d] + self.c * (self.probs @ z[self.d + 1 :]))
+        _, s, _ = self._tail(z)
+        return float(z[self.d] + self.c * s ** (1.0 / self.r))
 
     def obj_grad(self, z):
-        u, mask = self._tail(z)
         g = np.zeros(self.n_vars)
         g[self.d] = 1.0
-        if not mask.any():
-            return g
-        r = self.spec.r
-        pm, um = self.pr[mask], u[mask]
-        s = float(np.dot(pm, um**r))
-        b = pm * um ** (r - 1.0)
-        a = s ** (1.0 / r - 1.0)
-        g[: self.d] += self.c * a * self.spec.sign * (self.xi[:, mask] @ b)
-        g[self.d] -= self.c * a * float(b.sum())
+        if self.r == 1.0:
+            g[self.d + 1 :] = self.c * self.probs
+        else:
+            up, _, scale = self._tail(z)
+            g[self.d + 1 :] = self.c * scale * self.probs * up ** (self.r - 1.0)
         return g
 
     def obj_hess(self, z):
-        u, mask = self._tail(z)
         H = np.zeros((self.n_vars, self.n_vars))
-        r = self.spec.r
-        if not mask.any() or r <= 1.0:
+        up, s, scale = self._tail(z)
+        if self.r == 1.0 or s <= 0.0:
             return H
-        pm, um = self.pr[mask], u[mask]
-        s = float(np.dot(pm, um**r))
-        D = np.empty((int(mask.sum()), self.n_vars))
-        D[:, : self.d] = self.spec.sign * self.xi[:, mask].T
-        D[:, self.d] = -1.0
-        b = pm * um ** (r - 1.0)
-        c2 = pm * um ** (r - 2.0)
-        grad_s = D.T @ b
-        a = s ** (1.0 / r - 1.0)
-        return self.c * (r - 1.0) * (
-            a * (D.T @ (c2[:, None] * D)) - s ** (1.0 / r - 2.0) * np.outer(grad_s, grad_s)
+        r = self.r
+        b = self.probs * up ** (r - 1.0)
+        # u^(r-2) is singular at 0 for r < 2: excesses at 0 get no curvature
+        # and tiny ones are clamped, which keeps the polish's KKT matrix
+        # well conditioned where the row u_j >= 0 pins u_j anyway
+        pos = up > 0.0
+        curv = np.zeros(self.n)
+        curv[pos] = self.probs[pos] * np.maximum(up[pos], 1e-10) ** (r - 2.0)
+        H[self.d + 1 :, self.d + 1 :] = self.c * (r - 1.0) * (
+            scale * np.diag(curv) - (scale / s) * np.outer(b, b)
         )
+        return H
 
     def con_values(self, z):
-        return self.cuts.values(z[: self.d])
+        x, q, u = z[: self.d], z[self.d], z[self.d + 1 :]
+        return np.concatenate([self.cuts.values(x), x @ self.loss - q - u, -u])
 
     def con_jac(self, z):
-        J = self.cuts.jac(z[: self.d])
-        return np.hstack([J, np.zeros((J.shape[0], 1))])
+        Jc = self.cuts.jac(z[: self.d])
+        d, n = self.d, self.n
+        J = np.zeros((Jc.shape[0] + 2 * n, self.n_vars))
+        J[: Jc.shape[0], :d] = Jc
+        tail = slice(Jc.shape[0], Jc.shape[0] + n)
+        J[tail, :d] = self.loss.T
+        J[tail, d] = -1.0
+        J[tail, d + 1 :] = -np.eye(n)
+        J[Jc.shape[0] + n :, d + 1 :] = -np.eye(n)
+        return J
 
     def con_hess(self, z, lam):
         H = np.zeros((self.n_vars, self.n_vars))
         H[: self.d, : self.d] = self.cuts.hess(z[: self.d], lam)
         return H
-
-    def coordinate_reset(self, z):
-        # exact inner minimization over q; unsticks Newton when the tail
-        # holds a single scenario and the objective turns locally linear
-        losses = self.spec.sign * (z[: self.d] @ self.xi)
-        q_new = minimize_phi(losses, self.pr, self.spec.beta, self.spec.r).q_star
-        out = z.copy()
-        out[self.d] = q_new
-        return out
-
-
-class _FixedQRiskProblem:
-    """r = 1 risk objective with the inner parameter frozen.
-
-    The r = 1 functional is piecewise linear in (x, q) and flat in q on
-    quantile plateaus, which starves Newton of curvature; freezing q at
-    the inner minimizer of the incumbent and re-fixing it every
-    constraint round is the stable alternative.
-    """
-
-    def __init__(self, scenarios: ScenarioSet, spec: RiskSpec, cuts: _DominanceCuts, q_fix: float):
-        self.xi = scenarios.returns
-        self.pr = scenarios.scenario_probabilities
-        self.spec = spec
-        self.cuts = cuts
-        self.q = float(q_fix)
-        self.d = scenarios.d
-        self.n_vars = self.d
-        self.c = 1.0 / (1.0 - spec.beta)
-
-    def obj_value(self, z):
-        u = self.spec.sign * (z @ self.xi) - self.q
-        return float(self.q + self.c * np.dot(self.pr, np.maximum(u, 0.0)))
-
-    def obj_grad(self, z):
-        u = self.spec.sign * (z @ self.xi) - self.q
-        mask = u > 0.0
-        if not mask.any():
-            return np.zeros(self.d)
-        return self.c * self.spec.sign * (self.xi[:, mask] @ self.pr[mask])
-
-    def obj_hess(self, z):
-        return np.zeros((self.d, self.d))
-
-    def con_values(self, z):
-        return self.cuts.values(z)
-
-    def con_jac(self, z):
-        return self.cuts.jac(z)
-
-    def con_hess(self, z, lam):
-        return self.cuts.hess(z, lam)
 
 
 class _Phase1Problem:
@@ -454,105 +476,167 @@ def _solve_kkt(H: np.ndarray, a: np.ndarray, grad: np.ndarray):
             return None, False
 
 
-def _barrier_merit(prob, z, mu, g=None):
-    x = z[: prob.d]
-    if g is None:
-        g = prob.con_values(z)
-    return prob.obj_value(z) - mu * (float(np.log(-g).sum()) + float(np.log(x).sum()))
+def _barrier_merit(prob, z, mu, g):
+    return prob.obj_value(z) - mu * (float(np.log(-g).sum()) + float(np.log(z[: prob.d]).sum()))
 
 
-def _polish_active_set(prob, z0: np.ndarray, mu: float):
-    """Crossover: undamped Newton on the active-set KKT equations.
+def _active_rows(prob, g: np.ndarray) -> np.ndarray:
+    """Rows the polish treats as equalities: slack below 1e-6, plus, for the
+    lifted risk rows, the tighter of each scenario's two rows.
 
-    The primal barrier plateaus around 1e-9 stationarity because its
-    Hessian carries mu/g^2 terms; once the active set is identified the
-    equality-form system is well scaled and Newton reaches machine
-    precision.  Returns None when identification or the solve fails.
+    At r > 1 the row u_j >= 0 of a scenario outside the tail carries a
+    zero multiplier, so its barrier slack decays only like mu^(1/r).
     """
+    act = g >= -1e-6
+    if isinstance(prob, _RiskProblem):
+        m, n = prob.cuts.m, prob.n
+        tail, nonneg = g[m : m + n], g[m + n :]
+        act[m : m + n] |= tail >= nonneg
+        act[m + n :] |= nonneg > tail
+    return np.flatnonzero(act)
+
+
+def _polish_newton(prob, z0: np.ndarray, mu: float, act: np.ndarray, bnd: np.ndarray):
+    """Undamped Newton on the KKT equations with rows act and bounds bnd held
+    as equalities; returns the iterate of least residual, or None."""
     d, n = prob.d, prob.n_vars
     a = np.zeros(n)
     a[:d] = 1.0
     z = z0.copy()
-    g = prob.con_values(z)
-    act = np.flatnonzero(g >= -1e-6)
-    bnd = np.flatnonzero(z[:d] <= 1e-6)
     nA, nB = act.size, bnd.size
-    lamA = mu / np.maximum(-g[act], 1e-300)
+    lamA = mu / np.maximum(-prob.con_values(z)[act], 1e-300)
     sB = mu / np.maximum(z[:d][bnd], 1e-300)
     nu = 0.0
-
-    def residual_vec(z, lamA, sB, nu):
+    best = None
+    for _ in range(8):
         g = prob.con_values(z)
         J = prob.con_jac(z)
         lam_full = np.zeros(g.size)
         lam_full[act] = lamA
         grad = prob.obj_grad(z) + J.T @ lam_full + nu * a
         grad[bnd] -= sB
-        return np.concatenate([grad, g[act], z[:d][bnd], [float(z[:d].sum()) - 1.0]]), lam_full
-
-    best = None
-    for _ in range(8):
-        F, lam_full = residual_vec(z, lamA, sB, nu)
+        F = np.concatenate([grad, g[act], z[:d][bnd], [float(z[:d].sum()) - 1.0]])
         norm = float(np.abs(F).max())
+        if not np.isfinite(norm):
+            break
         if best is None or norm < best[0]:
             best = (norm, z.copy(), lamA.copy(), sB.copy(), nu)
         if norm <= 1e-14:
             break
-        J = prob.con_jac(z)
-        H = prob.obj_hess(z) + prob.con_hess(z, lam_full)
-        size = n + nA + nB + 1
-        K = np.zeros((size, size))
-        K[:n, :n] = H
+        K = np.zeros((n + nA + nB + 1, n + nA + nB + 1))
+        K[:n, :n] = prob.obj_hess(z) + prob.con_hess(z, lam_full)
         K[:n, n : n + nA] = J[act].T
-        for j, i in enumerate(bnd):
-            K[i, n + nA + j] = -1.0
-        K[:n, -1] = a
         K[n : n + nA, :n] = J[act]
-        for j, i in enumerate(bnd):
-            K[n + nA + j, i] = 1.0
+        K[bnd, n + nA + np.arange(nB)] = -1.0
+        K[n + nA + np.arange(nB), bnd] = 1.0
+        K[:n, -1] = a
         K[-1, :n] = a
-        try:
-            step = np.linalg.solve(K, -F)
-        except np.linalg.LinAlgError:
-            step = None
-        if step is None or not np.all(np.isfinite(step)):
-            # degenerate active sets (more active cuts than variables)
-            # still admit consistent KKT systems; take the least-squares
-            # step with minimum-norm multiplier movement
-            step, *_ = np.linalg.lstsq(K, -F, rcond=None)
-            if not np.all(np.isfinite(step)):
-                return None
+        if not np.all(np.isfinite(K)):
+            break
+        # degenerate active sets (dependent cut rows, more active cuts than
+        # variables) still admit consistent KKT systems; the minimum-norm
+        # least-squares step keeps the multiplier movement bounded there
+        step = np.linalg.lstsq(K, -F, rcond=1e-12)[0]
         z = z + step[:n]
         lamA = lamA + step[n : n + nA]
         sB = sB + step[n + nA : n + nA + nB]
         nu = nu + float(step[-1])
+    return best
 
-    if best is None:
+
+def _polish_active_set(prob, z0: np.ndarray, mu: float):
+    """Crossover: Newton on the active-set KKT equations.
+
+    The primal barrier plateaus around 1e-9 stationarity because its
+    Hessian carries mu/g^2 terms; once the active set is identified the
+    equality-form system is well scaled and Newton reaches machine
+    precision.  Rows or bounds that come out with negative multipliers
+    were misidentified and are released; rows or weights the polish
+    drives past their bound are added; then the polish is repeated.
+    Returns None when identification or the solve fails.
+    """
+    d = prob.d
+    act = _active_rows(prob, prob.con_values(z0))
+    bnd = np.flatnonzero(z0[:d] <= 1e-6)
+    for _ in range(3):
+        best = _polish_newton(prob, z0, mu, act, bnd)
+        if best is None:
+            return None
+        norm, z, lamA, sB, nu = best
+        g = prob.con_values(z)
+        inact = np.setdiff1d(np.arange(g.size), act)
+        free = np.setdiff1d(np.arange(d), bnd)
+        hit_a, hit_b = inact[g[inact] > 1e-12], free[z[:d][free] < -1e-12]
+        wrong_a, wrong_b = lamA < -1e-9, sB < -1e-9
+        if not (wrong_a.any() or wrong_b.any() or hit_a.size or hit_b.size):
+            break
+        act = np.union1d(act[~wrong_a], hit_a)
+        bnd = np.union1d(bnd[~wrong_b], hit_b)
+    else:
         return None
-    norm, z, lamA, sB, nu = best
-    # the polish is only valid if it kept the optimal active-set structure
-    g = prob.con_values(z)
-    inact = np.setdiff1d(np.arange(g.size), act)
-    free = np.setdiff1d(np.arange(d), bnd)
-    if (lamA < -1e-9).any() or (sB < -1e-9).any():
-        return None
-    if inact.size and g[inact].max() >= -1e-12:
-        return None
-    if free.size and z[:d][free].min() <= 0.0:
-        return None
-    if g[act].size and float(np.abs(g[act]).max()) > 1e-10:
+    if float(np.abs(g[act]).max(initial=0.0)) > 1e-10:
         return None
     lam_full = np.zeros(g.size)
     lam_full[act] = np.maximum(lamA, 0.0)
     bound_full = np.zeros(d)
     bound_full[bnd] = np.maximum(sB, 0.0)
-    x = np.maximum(z[:d], 0.0)
     z = z.copy()
-    z[:d] = x
+    z[:d] = np.maximum(z[:d], 0.0)
     return norm, z, lam_full, bound_full, nu
 
 
-def _solve_barrier(prob, z0: np.ndarray, cfg: SolverConfig, stop_when=None) -> _BarrierResult:
+def _barrier_gradient(prob, z, mu, g):
+    """Jacobian, barrier gradient and its simplex-projected max-norm at a strictly interior z."""
+    d = prob.d
+    J = prob.con_jac(z)
+    grad = prob.obj_grad(z) + J.T @ (mu / -g)
+    grad[:d] -= mu / z[:d]
+    nu = -float(grad[:d].sum()) / d
+    return J, grad, float(max(np.abs(grad[:d] + nu).max(), np.abs(grad[d:]).max(initial=0.0)))
+
+
+def _newton_direction(prob, z, mu, g, J, grad):
+    """Newton step on the barrier problem with parameter mu, kept on the simplex."""
+    d = prob.d
+    a = np.zeros(prob.n_vars)
+    a[:d] = 1.0
+    H = prob.obj_hess(z) + (J.T * (mu / g**2)) @ J + prob.con_hess(z, mu / (-g))
+    H[np.arange(d), np.arange(d)] += mu / z[:d] ** 2
+    dz, ok = _solve_kkt(H, a, grad)
+    if ok:
+        dz[:d] -= dz[:d].mean()     # keep the step in the simplex tangent space despite rounding
+    return dz, ok
+
+
+def _first_stage(prob, x0, q0):
+    """Index into BARRIER_MUS and start point for the barrier solve.
+
+    A warm start near the optimum is nearly central for a small mu, and
+    re-tracing the central path from mu = 1e-2 would move it away and
+    back.  The solve starts at the smallest mu for which the lifted start
+    is within O(mu) of stationary (or at the rounding floor) and lies in
+    Newton's quadratic region (squared Newton decrement at most mu / 16),
+    and at BARRIER_MUS[0] otherwise.  A cold start is O(1) from
+    stationary and starts at 1e-2.
+    """
+    for k in range(len(BARRIER_MUS) - 1, 0, -1):
+        mu = BARRIER_MUS[k]
+        z = prob.lift(x0, q0, mu)
+        g = prob.con_values(z)
+        if g.max() >= 0.0:
+            continue
+        J, grad, stationarity = _barrier_gradient(prob, z, mu, g)
+        if stationarity > max(1e3 * mu, 1e-6):     # 1e-6: the rounding floor at small mu
+            continue
+        dz, ok = _newton_direction(prob, z, mu, g, J, grad)
+        if ok and -float(grad @ dz) <= mu / 16.0:
+            return k, z
+    z = prob.lift(x0, q0)
+    z[prob.d + 1 :] += 1.0      # tail excesses, lifted a unit into the strict interior
+    return 0, z
+
+
+def _solve_barrier(prob, z0: np.ndarray, cfg: SolverConfig, stop_when=None, first=0) -> _BarrierResult:
     z = np.array(z0, dtype=float)
     d = prob.d
     a = np.zeros(prob.n_vars)
@@ -561,38 +645,31 @@ def _solve_barrier(prob, z0: np.ndarray, cfg: SolverConfig, stop_when=None) -> _
     total = 0
     note = None
     fatal = False
-    resets_left = 3
-    mu = BARRIER_MUS[0]
-
-    for mu in BARRIER_MUS:
+    mu = mu_prev = BARRIER_MUS[first]
+    for mu in BARRIER_MUS[first:]:
         stage_tol = max(0.1 * mu, 0.1 * cfg.newton_tol)
         it = 0
         while it < cfg.newton_max_iter:
             g = prob.con_values(z)
-            if g.size and g.max() >= 0.0:
+            if g.max() >= 0.0:
                 note = "iterate left the strict interior"
                 fatal = True
                 break
             x = z[:d]
-            lam = mu / (-g)
-            grad = prob.obj_grad(z).copy()
-            if g.size:
-                J = prob.con_jac(z)
-                grad += J.T @ lam
-            grad[:d] -= mu / x
-            nu = -float(a @ grad) / d
-            if float(np.abs(grad + nu * a).max()) <= stage_tol:
+            J, grad, stationarity = _barrier_gradient(prob, z, mu, g)
+            if stationarity <= stage_tol:
                 break
-            H = prob.obj_hess(z)
-            if g.size:
-                H = H + (J.T * (mu / g**2)) @ J + prob.con_hess(z, lam)
-            H = H.copy()
-            H[np.arange(d), np.arange(d)] += mu / x**2
-            dz, ok = _solve_kkt(H, a, grad)
+            # the first step of a stage keeps the previous stage's barrier
+            # curvature: from a point central for mu_prev that step is the
+            # central-path tangent step, where the new curvature would
+            # overshoot each slack about mu_prev / mu times
+            dz, ok = _newton_direction(prob, z, mu_prev if it == 0 else mu, g, J, grad)
             if not ok:
                 note = "singular KKT system beyond regularization"
                 fatal = True
                 break
+            if float(np.abs(dz).max()) <= 1e-13 * max(1.0, float(np.abs(z).max())):
+                break    # stationarity is at its rounding floor; the polish takes over
 
             # fraction-to-boundary cap for the simplex block
             alpha = 1.0
@@ -610,20 +687,13 @@ def _solve_barrier(prob, z0: np.ndarray, cfg: SolverConfig, stop_when=None) -> _
                 xn = znew[:d]
                 if xn.min() > 0.0:
                     gn = prob.con_values(znew)
-                    if not gn.size or gn.max() < 0.0:
+                    if gn.max() < 0.0:
                         merit = _barrier_merit(prob, znew, mu, gn)
                         if merit <= merit0 + 1e-4 * alpha * slope + 1e-12 * max(1.0, abs(merit0)):
                             accepted = True
                             break
                 alpha *= 0.5
             if not accepted:
-                reset = getattr(prob, "coordinate_reset", None)
-                if reset is not None and resets_left > 0:
-                    z_reset = reset(z)
-                    if z_reset is not None and float(np.abs(z_reset - z).max()) > 1e-14:
-                        resets_left -= 1
-                        z = z_reset
-                        continue
                 note = note or "line search stalled"
                 break
             z = znew
@@ -635,6 +705,7 @@ def _solve_barrier(prob, z0: np.ndarray, cfg: SolverConfig, stop_when=None) -> _
         stage_iterations.append(it)
         if fatal:
             break
+        mu_prev = mu
     return _finalize_barrier(prob, z, a, mu, cfg, total, stage_iterations, note, polish=True)
 
 
@@ -643,15 +714,13 @@ def _finalize_barrier(prob, z, a, mu, cfg, total, stage_iterations, note, polish
     x = z[:d]
     g = prob.con_values(z)
     lam = mu / np.maximum(-g, 1e-300)
-    grad = prob.obj_grad(z).copy()
-    if g.size:
-        grad += prob.con_jac(z).T @ lam
+    grad = prob.obj_grad(z) + prob.con_jac(z).T @ lam
     bound = mu / np.maximum(x, 1e-300)
     grad[:d] -= bound
     nu = -float(a @ grad) / d
     stationarity = float(np.abs(grad + nu * a).max())
     primal = abs(float(x.sum()) - 1.0)
-    ineq = float(max(g.max(), 0.0)) if g.size else 0.0
+    ineq = float(max(g.max(), 0.0))
     bounds_viol = float(max(-x.min(), 0.0))
     kkt = max(stationarity, primal, ineq, bounds_viol)
     if polish:
@@ -735,20 +804,19 @@ def _strict_interior(cuts: _DominanceCuts, x: np.ndarray, cfg: SolverConfig):
     return xc, False
 
 
-def _build_inner_problem(problem: NewtonProblem, cuts: _DominanceCuts, x0: np.ndarray, q0):
+def _build_inner_problem(problem: NewtonProblem, cuts: _DominanceCuts):
     s, spec = problem.scenarios, problem.risk_spec
     if spec is None:
-        return _MaxReturnProblem(s.mean_returns(), cuts), np.array(x0, dtype=float), None
-    if q0 is None:
-        q0 = higher_order_risk(portfolio_return_variable(s, PortfolioWeights(x0)), spec).q_star
-    if spec.r == 1.0:
-        q_fix = float(q0)
-        if spec.beta == 0.0:
-            # with beta = 0 and r = 1 the objective equals the mean loss
-            # once q sits below every achievable loss
-            q_fix = min(q_fix, float(spec.losses(s.returns).min()) - 1.0)
-        return _FixedQRiskProblem(s, spec, cuts, q_fix), np.array(x0, dtype=float), q_fix
-    return _JointRiskProblem(s, spec, cuts), np.concatenate([x0, [float(q0)]]), None
+        return _LinearProblem(-s.mean_returns(), cuts)
+    if spec.beta == 0.0:
+        return _LinearProblem(spec.sign * s.mean_returns(), cuts)
+    return _RiskProblem(s, spec, cuts)
+
+
+def _inner_q(problem: NewtonProblem, x: np.ndarray) -> float:
+    """Minimizer over q of the risk functional at weights x."""
+    s, spec = problem.scenarios, problem.risk_spec
+    return minimize_phi(spec.losses(x @ s.returns), s.scenario_probabilities, spec.beta, spec.r).q_star
 
 
 def newton_refine(
@@ -758,17 +826,19 @@ def newton_refine(
     cfg: SolverConfig | None = None,
     q0: float | None = None,
 ) -> tuple[PortfolioWeights, float | None, NewtonDiagnostics]:
-    """Refine weights against the finite threshold cut set by barrier Newton.
+    """Solve the problem over the finite threshold cut set by barrier Newton.
 
-    Returns the refined weights, the auxiliary risk parameter for
-    min-risk problems (None otherwise), and diagnostics carrying the
-    final KKT residual and multipliers.
+    Returns the weights, the auxiliary risk parameter for min-risk
+    problems (None otherwise), and diagnostics carrying the final KKT
+    residual and multipliers.  The returned weights are clipped and
+    renormalized onto the simplex.
     """
     cfg = cfg or SolverConfig()
-    s = problem.scenarios
+    s, spec = problem.scenarios, problem.risk_spec
     if start.d != s.d:
         raise DimensionError(f"start has {start.d} weights but the scenario set has {s.d} assets")
     cuts = _DominanceCuts(s, problem.benchmark, problem.order, thresholds)
+    inner = _build_inner_problem(problem, cuts)
     x0, ok = _strict_interior(cuts, start.weights, cfg)
     if not ok:
         # boundary-only feasible set: return the phase-1 point, which
@@ -779,26 +849,26 @@ def newton_refine(
             iterations=0,
             stage_iterations=(),
             barrier_mu=BARRIER_MUS[0],
-            ineq_multipliers=np.zeros(cuts.m),
+            ineq_multipliers=np.zeros(inner.m),
             bound_multipliers=np.zeros(s.d),
             eq_multiplier=0.0,
             note="no strictly interior point found for the cut set",
         )
-        q_out = q0
-        if problem.risk_spec is not None and q_out is None:
-            q_out = higher_order_risk(
-                portfolio_return_variable(s, PortfolioWeights(x0)), problem.risk_spec
-            ).q_star
+        q_out = None if spec is None else (q0 if q0 is not None else _inner_q(problem, x0))
         return PortfolioWeights(x0), q_out, diag
-    inner, z0, q_fix = _build_inner_problem(problem, cuts, x0, q0)
-    res = _solve_barrier(inner, z0, cfg)
-    x = res.z[: s.d]
-    if problem.risk_spec is None:
+    q_start = None
+    if isinstance(inner, _RiskProblem):
+        q_start = q0 if q0 is not None else _inner_q(problem, x0)
+    first, z0 = _first_stage(inner, x0, q_start)
+    res = _solve_barrier(inner, z0, cfg, first=first)
+    x = np.maximum(res.z[: s.d], 0.0)
+    x /= x.sum()
+    if spec is None:
         q_out = None
-    elif problem.risk_spec.r == 1.0:
-        q_out = q_fix
-    else:
+    elif isinstance(inner, _RiskProblem):
         q_out = float(res.z[s.d])
+    else:
+        q_out = _inner_q(problem, x)
     diag = NewtonDiagnostics(
         converged=res.converged,
         kkt_residual=res.kkt_residual,
@@ -820,24 +890,23 @@ def kkt_residual(
     diag: NewtonDiagnostics,
     q: float | None = None,
 ) -> float:
-    """Recompute the first-order optimality residual at a returned point."""
+    """Recompute the first-order optimality residual at a returned point.
+
+    For the lifted risk problem the tail excess is rebuilt as (L - q)_+.
+    """
     s = problem.scenarios
     cuts = _DominanceCuts(s, problem.benchmark, problem.order, thresholds)
-    inner, _, _ = _build_inner_problem(problem, cuts, weights.weights, q)
-    if problem.risk_spec is not None and problem.risk_spec.r > 1.0:
-        z = np.concatenate([weights.weights, [float(q)]])
-    else:
-        z = np.array(weights.weights, dtype=float)
+    inner = _build_inner_problem(problem, cuts)
+    z = inner.lift(weights.weights, q)
     grad = inner.obj_grad(z).copy()
     g = inner.con_values(z)
-    if g.size:
-        grad += inner.con_jac(z).T @ diag.ineq_multipliers
+    grad += inner.con_jac(z).T @ diag.ineq_multipliers
     grad[: s.d] -= diag.bound_multipliers
     a = np.zeros(inner.n_vars)
     a[: s.d] = 1.0
     stationarity = float(np.abs(grad + diag.eq_multiplier * a).max())
     primal = abs(float(weights.weights.sum()) - 1.0)
-    ineq = float(max(g.max(), 0.0)) if g.size else 0.0
+    ineq = float(max(g.max(), 0.0))
     return max(stationarity, primal, float(max(-weights.weights.min(), 0.0)), ineq)
 
 
@@ -846,6 +915,7 @@ def optimize_max_return(
 ) -> SolveReport:
     """Maximize expected return subject to dominance over the benchmark at order p."""
     return _constraint_generation(s, benchmark, p, cfg or SolverConfig(), None)
+
 
 def optimize_min_risk(
     s: ScenarioSet,
@@ -869,55 +939,49 @@ def _constraint_generation(s, benchmark, p, cfg, spec) -> SolveReport:
     if s.d == 1:
         return _single_asset_report(s, benchmark, p, spec, cfg)
 
-    mr = s.mean_returns()
-    thresholds = [float(t) for t in np.unique(benchmark.outcomes)]
-    cuts0 = _DominanceCuts(s, benchmark, p, thresholds)
-    if spec is None:
-        def pso_objective(w: PortfolioWeights) -> float:
-            return -float(w.weights @ mr)
-    else:
-        # coarse inner minimization: plenty for swarm fitness ranking
-        def pso_objective(w: PortfolioWeights) -> float:
-            losses = spec.losses(w.weights @ s.returns)
-            return minimize_phi(losses, s.scenario_probabilities, spec.beta, spec.r,
-                                width=1e-6, polish=False).rho
-
-    def pso_penalty(w: PortfolioWeights) -> float:
-        return float(np.maximum(cuts0.values(w.weights), 0.0).sum())
-
-    incumbent = pso_search(pso_objective, pso_penalty, s.d, cfg)
     problem = NewtonProblem(s, benchmark, p, spec)
-
-    current = incumbent
+    thresholds = [float(t) for t in np.unique(benchmark.outcomes)]
+    current = PortfolioWeights.equal(s.d)
     q_prev: float | None = None
     newton_total = 0
     rounds = 0
+    generated = 0
     least_gap = float("inf")
-    last_refined: PortfolioWeights | None = None
     while True:
         rounds += 1
-        refined, q_ref, diag = newton_refine(problem, current, thresholds, cfg, q0=q_prev)
+        refined, q_prev, diag = newton_refine(problem, current, thresholds, cfg, q0=q_prev)
         newton_total += diag.iterations
-        last_refined = refined
         cert = verify(portfolio_return_variable(s, refined), benchmark, p, cfg.constraint_tol)
         gap = max(0.0, cert.worst_gap)
         least_gap = min(least_gap, gap)
         if gap <= cfg.constraint_tol:
+            if diag.converged:
+                message = None
+            else:
+                message = diag.note or (
+                    f"KKT residual {diag.kkt_residual:.3e} above newton_tol {cfg.newton_tol:g}"
+                )
             return _success_report(
                 s, benchmark, p, spec, refined, diag.converged, cert, thresholds,
-                rounds, newton_total, cfg,
+                rounds, newton_total, message,
             )
         t_new = float(cert.worst_t)
-        duplicate = any(abs(t_new - t) <= 1e-9 * max(1.0, abs(t_new)) for t in thresholds)
-        if len(thresholds) >= cfg.max_generated_constraints or duplicate:
+        if any(abs(t_new - t) <= 1e-9 * max(1.0, abs(t_new)) for t in thresholds):
+            stop = f"the worst threshold t = {t_new:.10g} repeats a cut"
+            break
+        if generated >= cfg.max_generated_constraints:
+            stop = f"{generated} generated thresholds reached max_generated_constraints"
             break
         thresholds.append(t_new)
+        generated += 1
         current = refined
-        q_prev = q_ref if (spec is not None and spec.r > 1.0) else None
 
-    # budget exhausted or stalled: sweep simple candidates before giving up
-    candidates = [last_refined.weights, incumbent.weights, np.full(s.d, 1.0 / s.d)]
-    candidates.extend(np.eye(s.d))
+    # budget exhausted or stalled: sweep simple candidates by the true objective
+    def objective(w: PortfolioWeights) -> float:
+        port = portfolio_return_variable(s, w)
+        return -mean(port) if spec is None else higher_order_risk(port, spec).rho
+
+    candidates = [refined.weights, np.full(s.d, 1.0 / s.d), *np.eye(s.d)]
     best = None
     for xc in candidates:
         w = PortfolioWeights(xc)
@@ -926,13 +990,14 @@ def _constraint_generation(s, benchmark, p, cfg, spec) -> SolveReport:
         if gap > cfg.constraint_tol:
             least_gap = min(least_gap, gap)
             continue
-        score = pso_objective(w)
+        score = objective(w)
         if best is None or score < best[0]:
             best = (score, w, cert)
     if best is not None:
         return _success_report(
-            s, benchmark, p, spec, best[1], False, best[2], thresholds,
-            rounds, newton_total, cfg,
+            s, benchmark, p, spec, best[1], False, best[2], thresholds, rounds, newton_total,
+            f"constraint generation stopped ({stop}); returned the best dominating "
+            "candidate of the fallback sweep",
         )
     return SolveReport(
         weights=None,
@@ -945,7 +1010,7 @@ def _constraint_generation(s, benchmark, p, cfg, spec) -> SolveReport:
         simplex_residual=None,
         dominance_residual=None,
         converged=False,
-        iterations={"pso": cfg.pso_iterations, "newton": newton_total, "constraint_rounds": rounds},
+        iterations={"newton": newton_total, "constraint_rounds": rounds},
         infeasible=True,
         message=(
             f"no allocation satisfies the stochastic dominance constraint at order {p:g} "
@@ -967,7 +1032,8 @@ def _active_thresholds(s, benchmark, p, w, thresholds, worst_t, activity_tol=1e-
     return tuple(out)
 
 
-def _success_report(s, benchmark, p, spec, w, converged, cert, thresholds, rounds, newton_total, cfg) -> SolveReport:
+def _success_report(s, benchmark, p, spec, w, converged, cert, thresholds, rounds, newton_total,
+                    message=None) -> SolveReport:
     port = portfolio_return_variable(s, w)
     expected = mean(port)
     if spec is not None:
@@ -988,9 +1054,9 @@ def _success_report(s, benchmark, p, spec, w, converged, cert, thresholds, round
         simplex_residual=w.simplex_residual(),
         dominance_residual=max(0.0, cert.worst_gap),
         converged=bool(converged),
-        iterations={"pso": cfg.pso_iterations, "newton": newton_total, "constraint_rounds": rounds},
+        iterations={"newton": newton_total, "constraint_rounds": rounds},
         infeasible=False,
-        message=None,
+        message=message,
     )
 
 
@@ -1009,7 +1075,7 @@ def _single_asset_report(s, benchmark, p, spec, cfg) -> SolveReport:
             simplex_residual=None,
             dominance_residual=None,
             converged=False,
-            iterations={"pso": 0, "newton": 0, "constraint_rounds": 0},
+            iterations={"newton": 0, "constraint_rounds": 0},
             infeasible=True,
             message=(
                 f"the single available asset does not dominate the benchmark at order {p:g}; "
@@ -1017,7 +1083,4 @@ def _single_asset_report(s, benchmark, p, spec, cfg) -> SolveReport:
             ),
         )
     thresholds = [float(t) for t in np.unique(benchmark.outcomes)]
-    report = _success_report(s, benchmark, p, spec, w, True, cert, thresholds, 0, 0, cfg)
-    return SolveReport(
-        **{**report.__dict__, "iterations": {"pso": 0, "newton": 0, "constraint_rounds": 0}}
-    )
+    return _success_report(s, benchmark, p, spec, w, True, cert, thresholds, 0, 0)

@@ -129,9 +129,11 @@ def render_text(report, *, order: float, verbose: bool = False,
         lines.append("Active thresholds: " + ", ".join(f"{t:.10g}" for t in r.active_thresholds))
         it = r.iterations
         lines.append(
-            "Iterations: pso={pso} newton={newton} constraint_rounds={constraint_rounds}".format(**it)
+            "Iterations: newton={newton} constraint_rounds={constraint_rounds}".format(**it)
         )
         lines.append(f"Converged: {str(r.converged).lower()}")
+        if r.message:
+            lines.append(f"Reason: {r.message}")
     return "\n".join(lines) + "\n"
 
 

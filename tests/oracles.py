@@ -157,3 +157,53 @@ def max_return_grid_search(returns: np.ndarray, scen_probs: np.ndarray,
     means[~ok] = -np.inf
     i = int(np.argmax(means))
     return float(means[i]), W[i]
+
+
+def cvar_order2_lp(returns: np.ndarray, scen_probs: np.ndarray, bench_out: np.ndarray,
+                   bench_pr: np.ndarray, beta: float) -> float:
+    """Least CVaR_beta of the portfolio loss under order-2 dominance, by LP.
+
+    Rockafellar & Uryasev (2000): minimize q + sum_j p_j u_j / (1 - beta)
+    with u_j >= -x.xi_j - q and u_j >= 0.  Order-2 dominance is imposed
+    by shortfall variables s_ij >= t_i - x.xi_j, s_ij >= 0 and
+    sum_j p_j s_ij <= E[(t_i - B)_+] at the benchmark atoms t_i, which
+    suffice at order 2 (Dentcheva & Ruszczynski, SIAM J. Optim. 2003).
+    Solved by HiGHS; skips the calling test when scipy is missing.
+    """
+    import pytest
+
+    linprog = pytest.importorskip("scipy.optimize").linprog
+    d, n = returns.shape
+    ts = np.unique(bench_out)
+    T = ts.size
+    nv = d + 1 + n + T * n                 # x, q, u, s (row-major by threshold)
+    iq, iu, i_s = d, d + 1, d + 1 + n
+    c = np.zeros(nv)
+    c[iq] = 1.0
+    c[iu:i_s] = scen_probs / (1.0 - beta)
+    rows, rhs = [], []
+    for j in range(n):                     # -x.xi_j - q - u_j <= 0
+        row = np.zeros(nv)
+        row[:d] = -returns[:, j]
+        row[iq] = -1.0
+        row[iu + j] = -1.0
+        rows.append(row)
+        rhs.append(0.0)
+    for i, t in enumerate(ts):
+        for j in range(n):                 # t - x.xi_j - s_ij <= 0
+            row = np.zeros(nv)
+            row[:d] = -returns[:, j]
+            row[i_s + i * n + j] = -1.0
+            rows.append(row)
+            rhs.append(-t)
+        row = np.zeros(nv)                 # sum_j p_j s_ij <= E[(t - B)_+]
+        row[i_s + i * n : i_s + (i + 1) * n] = scen_probs
+        rows.append(row)
+        rhs.append(lpm_direct(bench_out, bench_pr, float(t), 1.0))
+    a_eq = np.zeros((1, nv))
+    a_eq[0, :d] = 1.0
+    bounds = [(0.0, None)] * d + [(None, None)] + [(0.0, None)] * (n + T * n)
+    res = linprog(c, A_ub=np.array(rows), b_ub=np.array(rhs), A_eq=a_eq, b_eq=[1.0],
+                  bounds=bounds, method="highs")
+    assert res.status == 0, res.message
+    return float(res.fun)

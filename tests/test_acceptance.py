@@ -123,7 +123,7 @@ def test_criterion_4_residual_contract():
     for _ in range(2):
         s = ScenarioSet(np.round(rng.normal(0.3, 1.0, (3, 9)), 2))
         bench = portfolio_return_variable(s, PortfolioWeights.equal(3))
-        _record(optimize_max_return(s, bench, 2.0, SolverConfig(swarm_size=16, pso_iterations=40)))
+        _record(optimize_max_return(s, bench, 2.0, SolverConfig()))
     assert _CONVERGED_RUNS, "no converged runs were collected"
     for report in _CONVERGED_RUNS:
         assert report.simplex_residual <= 1e-6
@@ -237,7 +237,7 @@ def test_criterion_6_risk_property_suite():
 
 def test_criterion_7_small_instance_optimizer_oracle():
     rng = np.random.default_rng(707)
-    cfg = SolverConfig(swarm_size=32, pso_iterations=60)
+    cfg = SolverConfig()
     worst_gap_to_oracle = 0.0
     for k in range(20):
         n = int(rng.integers(6, 14))

@@ -20,12 +20,36 @@ from stochdom import (
     optimize_min_risk,
     portfolio_return_variable,
     project_to_simplex,
-    pso_search,
     verify,
 )
-from tests.oracles import max_return_grid_search
+from stochdom.optimize import SwarmConfig, pso_search
+from stochdom.report import render_text
+from tests.oracles import cvar_order2_lp, max_return_grid_search
 
-FAST = SolverConfig(swarm_size=16, pso_iterations=40)
+CFG = SolverConfig()
+
+
+def factor_model(rng: np.random.Generator, d: int, n: int) -> np.ndarray:
+    """Assets x scenarios returns: one market factor plus fat-tailed noise."""
+    market = rng.normal(0.04, 1.0, n)
+    beta = rng.uniform(0.6, 1.4, d)
+    alpha = rng.normal(0.02, 0.05, d)
+    vol = rng.uniform(0.5, 1.5, d)
+    return alpha[:, None] + beta[:, None] * market[None, :] + vol[:, None] * rng.standard_t(6, (d, n))
+
+
+def sweep_instance(k: int) -> np.ndarray:
+    """Instance k of a seeded sweep of small random return matrices."""
+    rng = np.random.default_rng(1)
+    for _ in range(k + 1):
+        d = int(rng.integers(3, 8))
+        n = int(rng.integers(10, 40))
+        returns = np.round(rng.normal(0.1, 1.0, (d, n)), 3)
+    return returns
+
+
+def equal_weight_benchmark(s: ScenarioSet) -> DiscreteRandomVariable:
+    return portfolio_return_variable(s, PortfolioWeights.equal(s.d))
 
 
 def two_asset_instance(rng: np.random.Generator, slack: float = 0.0):
@@ -74,24 +98,27 @@ class TestProjectToSimplex:
 class TestSolverConfig:
     def test_defaults(self):
         cfg = SolverConfig()
-        assert cfg.swarm_size == 64
-        assert cfg.pso_iterations == 200
+        assert cfg.newton_max_iter == 100
         assert cfg.newton_tol == 1e-10
         assert cfg.constraint_tol == 1e-8
         assert cfg.max_generated_constraints == 50
-        assert cfg.rng_seed == 42
-
-    def test_zero_pso_iterations_allowed(self):
-        assert SolverConfig(pso_iterations=0).pso_iterations == 0
+        assert set(cfg.__dataclass_fields__) == {
+            "newton_max_iter", "newton_tol", "constraint_tol", "max_generated_constraints",
+        }
 
     def test_validation(self):
         with pytest.raises(DomainError):
-            SolverConfig(swarm_size=0)
+            SolverConfig(newton_max_iter=0)
         with pytest.raises(DomainError):
             SolverConfig(newton_tol=0.0)
 
 
 class TestPsoSearch:
+    def test_swarm_config_zero_iterations_allowed(self):
+        assert SwarmConfig(iterations=0).iterations == 0
+        with pytest.raises(DomainError):
+            SwarmConfig(swarm_size=0)
+
     def test_concentrates_on_dominating_asset(self):
         returns = np.array([[2.0, 3.0, 1.5, 2.5], [1.0, 1.2, 0.8, 0.9]])
         s = ScenarioSet(returns)
@@ -100,7 +127,7 @@ class TestPsoSearch:
         def objective(w):
             return -float(w.weights @ mr)
 
-        best = pso_search(objective, lambda w: 0.0, 2, SolverConfig())
+        best = pso_search(objective, lambda w: 0.0, 2, SwarmConfig())
         # exhaustive grid over the 2-simplex agrees
         grid = np.linspace(0, 1, 10001)
         means = grid * mr[0] + (1 - grid) * mr[1]
@@ -108,7 +135,7 @@ class TestPsoSearch:
         assert abs(best.weights[0] - expected) < 1e-3
 
     def test_zero_iteration_budget_returns_projected_start(self):
-        cfg = SolverConfig(swarm_size=1, pso_iterations=0)
+        cfg = SwarmConfig(swarm_size=1, iterations=0)
         got = pso_search(lambda w: 0.0, lambda w: 0.0, 3, cfg)
         assert np.allclose(got.weights, 1.0 / 3, atol=1e-15)
 
@@ -116,7 +143,7 @@ class TestPsoSearch:
         returns = np.array([[0.5, -0.3, 0.8], [0.2, 0.4, -0.1]])
         s = ScenarioSet(returns)
         mr = s.mean_returns()
-        cfg = SolverConfig(swarm_size=8, pso_iterations=25, rng_seed=7)
+        cfg = SwarmConfig(swarm_size=8, iterations=25, rng_seed=7)
         a = pso_search(lambda w: -float(w.weights @ mr), lambda w: 0.0, 2, cfg)
         b = pso_search(lambda w: -float(w.weights @ mr), lambda w: 0.0, 2, cfg)
         assert np.array_equal(a.weights, b.weights)
@@ -129,7 +156,7 @@ class TestPsoSearch:
         def penalty(w):
             return max(0.0, float(w.weights[0]) - 0.5)
 
-        best = pso_search(objective, penalty, 2, SolverConfig())
+        best = pso_search(objective, penalty, 2, SwarmConfig())
         assert best.weights[0] == pytest.approx(0.5, abs=1e-2)
 
 
@@ -179,12 +206,12 @@ class TestMaxReturnDriver:
             optimize_max_return(demo, demo_benchmark, 1.5)
 
     def test_benchmark_feasibility_floor(self, demo, demo_benchmark):
-        report = optimize_max_return(demo, demo_benchmark, 3.0, FAST)
+        report = optimize_max_return(demo, demo_benchmark, 3.0, CFG)
         assert not report.infeasible
         assert report.expected_return >= report.benchmark_return - 1e-8
 
     def test_fresh_verify_contract(self, demo, demo_benchmark):
-        cfg = FAST
+        cfg = CFG
         report = optimize_max_return(demo, demo_benchmark, 3.0, cfg)
         cert = verify(
             portfolio_return_variable(demo, report.weights), demo_benchmark, 3.0,
@@ -203,7 +230,7 @@ class TestMaxReturnDriver:
         assert not report.infeasible
 
     def test_objective_below_unconstrained_max(self, demo, demo_benchmark):
-        report = optimize_max_return(demo, demo_benchmark, 4.0, FAST)
+        report = optimize_max_return(demo, demo_benchmark, 4.0, CFG)
         best_single = float(demo.mean_returns().max())
         assert report.expected_return <= best_single + 1e-8
 
@@ -215,7 +242,7 @@ class TestMaxReturnDriver:
                 s.returns, s.scenario_probabilities, bench.outcomes, bench.probabilities,
                 extra_candidates=wb,
             )
-            report = optimize_max_return(s, bench, 2.0, FAST)
+            report = optimize_max_return(s, bench, 2.0, CFG)
             assert oracle is not None
             assert not report.infeasible
             assert report.expected_return == pytest.approx(oracle[0], abs=1e-3)
@@ -223,7 +250,7 @@ class TestMaxReturnDriver:
     def test_infeasible_when_benchmark_unattainable(self):
         s = ScenarioSet(np.array([[1.0, 2.0], [0.5, 1.5]]))
         bench = DiscreteRandomVariable([50.0, 51.0], [0.5, 0.5])
-        report = optimize_max_return(s, bench, 2.0, FAST)
+        report = optimize_max_return(s, bench, 2.0, CFG)
         assert report.infeasible
         assert report.weights is None
         assert report.objective_value is None
@@ -232,20 +259,47 @@ class TestMaxReturnDriver:
     def test_constraint_budget_respected(self):
         s = ScenarioSet(np.array([[1.0, 2.0], [0.5, 1.5]]))
         bench = DiscreteRandomVariable([50.0, 51.0], [0.5, 0.5])
-        cfg = SolverConfig(swarm_size=4, pso_iterations=5, max_generated_constraints=3)
+        cfg = SolverConfig(max_generated_constraints=3)
         report = optimize_max_return(s, bench, 2.0, cfg)
         assert report.infeasible
 
+    def test_budget_counts_only_generated_thresholds(self):
+        # 60 benchmark atoms exceed the 50-threshold budget on their own
+        s = ScenarioSet(factor_model(np.random.default_rng(1), 4, 60))
+        bench = equal_weight_benchmark(s)
+        assert bench.n_atoms >= 60
+        order2 = optimize_max_return(s, bench, 2.0, CFG)
+        order3 = optimize_max_return(s, bench, 3.0, CFG)
+        # order-2 dominance implies order-3 dominance
+        assert order3.expected_return >= order2.expected_return - 1e-8
+
+    def test_tiny_benchmark_moment_keeps_an_interior(self):
+        # the lowest order-4.7 cut has a benchmark moment far below 1e-9
+        s = ScenarioSet(sweep_instance(6))
+        bench = equal_weight_benchmark(s)
+        order2 = optimize_max_return(s, bench, 2.0, CFG)
+        order47 = optimize_max_return(s, bench, 4.7, CFG)
+        assert order47.expected_return >= order2.expected_return - 1e-8
+
+    def test_unconverged_report_gives_reason(self, demo, demo_benchmark):
+        report = optimize_max_return(demo, demo_benchmark, 3.0, CFG)
+        assert report.converged or report.message
+        starved = optimize_max_return(demo, demo_benchmark, 2.0, SolverConfig(newton_max_iter=1))
+        assert not starved.converged and not starved.infeasible
+        assert "above newton_tol" in starved.message
+        text = render_text(starved, order=2.0, verbose=True)
+        assert f"Reason: {starved.message}" in text
+
     def test_deterministic_reports(self, demo, demo_benchmark):
-        a = optimize_max_return(demo, demo_benchmark, 4.0, FAST)
-        b = optimize_max_return(demo, demo_benchmark, 4.0, FAST)
+        a = optimize_max_return(demo, demo_benchmark, 4.0, CFG)
+        b = optimize_max_return(demo, demo_benchmark, 4.0, CFG)
         assert np.array_equal(a.weights.weights, b.weights.weights)
         assert a.expected_return == b.expected_return
         assert a.active_thresholds == b.active_thresholds
         assert a.iterations == b.iterations
 
     def test_active_thresholds_ordering(self, demo, demo_benchmark):
-        report = optimize_max_return(demo, demo_benchmark, 4.0, FAST)
+        report = optimize_max_return(demo, demo_benchmark, 4.0, CFG)
         assert len(report.active_thresholds) >= 1
         port = portfolio_return_variable(demo, report.weights)
         cert = verify(port, demo_benchmark, 4.0, 1e-8)
@@ -254,7 +308,7 @@ class TestMaxReturnDriver:
 
 class TestMinRiskDriver:
     def test_supports_fractional_order(self, demo, demo_benchmark):
-        report = optimize_min_risk(demo, demo_benchmark, 4.7, RiskSpec(0.5, 2.0), FAST)
+        report = optimize_min_risk(demo, demo_benchmark, 4.7, RiskSpec(0.5, 2.0), CFG)
         assert not report.infeasible
         assert report.risk_value is not None
         assert report.q_star is not None
@@ -262,7 +316,7 @@ class TestMinRiskDriver:
 
     def test_qstar_consistent_with_inner_minimization(self, demo, demo_benchmark):
         spec = RiskSpec(0.5, 2.0)
-        report = optimize_min_risk(demo, demo_benchmark, 4.0, spec, FAST)
+        report = optimize_min_risk(demo, demo_benchmark, 4.0, spec, CFG)
         rv = higher_order_risk(portfolio_return_variable(demo, report.weights), spec)
         assert abs(report.q_star - rv.q_star) <= 1e-6
         assert report.risk_value == pytest.approx(rv.rho, abs=1e-10)
@@ -272,13 +326,51 @@ class TestMinRiskDriver:
         returns = np.round(rng.normal(0.1, 1.0, (3, 8)), 2)
         s = ScenarioSet(returns)
         bench = portfolio_return_variable(s, PortfolioWeights.equal(3))
-        risk_report = optimize_min_risk(s, bench, 2.0, RiskSpec(0.0, 1.0), FAST)
-        ret_report = optimize_max_return(s, bench, 2.0, FAST)
+        risk_report = optimize_min_risk(s, bench, 2.0, RiskSpec(0.0, 1.0), CFG)
+        ret_report = optimize_max_return(s, bench, 2.0, CFG)
         assert risk_report.risk_value == pytest.approx(-ret_report.expected_return, abs=1e-6)
         assert np.abs(
             risk_report.weights.weights - ret_report.weights.weights
         ).max() <= 1e-6
 
+    @pytest.mark.parametrize("beta, lp_value", [
+        (0.3, 0.179413), (0.5, 0.503926), (0.9, 1.164210), (0.95, 1.315843),
+    ])
+    def test_cvar_matches_lp_oracle(self, demo, demo_benchmark, beta, lp_value):
+        oracle = cvar_order2_lp(demo.returns, demo.scenario_probabilities,
+                                demo_benchmark.outcomes, demo_benchmark.probabilities, beta)
+        assert oracle == pytest.approx(lp_value, abs=1e-6)
+        report = optimize_min_risk(demo, demo_benchmark, 2.0, RiskSpec(beta, 1.0), CFG)
+        assert report.risk_value == pytest.approx(oracle, abs=1e-6)
+
     def test_requires_risk_spec(self, demo, demo_benchmark):
         with pytest.raises(DomainError):
-            optimize_min_risk(demo, demo_benchmark, 3.0, None, FAST)
+            optimize_min_risk(demo, demo_benchmark, 3.0, None, CFG)
+
+
+NEVER_RAISE_CASES = {
+    # barrier iterates that drifted off the simplex once raised DomainError
+    "factor-13-2-order2": (lambda: factor_model(np.random.default_rng([13, 2]), 20, 120), 2.0, None),
+    "factor-2502-order3": (lambda: factor_model(np.random.default_rng(2502), 20, 120), 3.0, None),
+    # a NaN polish matrix once raised LinAlgError
+    "sweep-2-r3": (lambda: sweep_instance(2), 4.7, RiskSpec(0.8, 3.0)),
+    "sweep-14-r3": (lambda: sweep_instance(14), 4.7, RiskSpec(0.8, 3.0)),
+    "sweep-21-r3": (lambda: sweep_instance(21), 4.7, RiskSpec(0.8, 3.0)),
+    # an empty risk tail at the optimum (zero r-norm)
+    "sweep-12-r3": (lambda: sweep_instance(12), 4.7, RiskSpec(0.8, 3.0)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(NEVER_RAISE_CASES))
+def test_valid_input_never_raises(case):
+    make_returns, order, spec = NEVER_RAISE_CASES[case]
+    s = ScenarioSet(make_returns())
+    bench = equal_weight_benchmark(s)
+    if spec is None:
+        report = optimize_max_return(s, bench, order, CFG)
+    else:
+        report = optimize_min_risk(s, bench, order, spec, CFG)
+    assert not report.infeasible          # the benchmark itself is feasible
+    assert report.dominance_residual <= CFG.constraint_tol
+    assert report.simplex_residual <= 1e-6
+    assert report.converged or report.message

@@ -21,7 +21,7 @@ from stochdom import (
 from stochdom.cli import EXIT_IO, EXIT_NOT_DOMINANT, EXIT_OK, EXIT_USAGE, main
 from stochdom.report import JSON_KEYS, report_payload, render_json
 
-FAST = SolverConfig(swarm_size=16, pso_iterations=40)
+CFG = SolverConfig()
 
 
 def write_variable_csv(path, outcomes, probabilities):
@@ -43,7 +43,7 @@ def golden_files(tmp_path):
 def demo_report():
     s = demo_scenarios()
     bench = portfolio_return_variable(s, PortfolioWeights.equal(s.d))
-    return s, optimize_max_return(s, bench, 4.0, FAST)
+    return s, optimize_max_return(s, bench, 4.0, CFG)
 
 
 class TestEmitReport:
@@ -81,7 +81,7 @@ class TestEmitReport:
             weights=None, active_thresholds=(), q_star=None, objective_value=None,
             expected_return=None, benchmark_return=0.1, risk_value=None,
             simplex_residual=None, dominance_residual=None, converged=False,
-            iterations={"pso": 0, "newton": 0, "constraint_rounds": 1},
+            iterations={"newton": 0, "constraint_rounds": 1},
             infeasible=True, message="nothing dominates",
         )
         payload = report_payload(report, "max-return", 3.0, 1)
@@ -113,7 +113,7 @@ class TestEmitPlot:
             weights=PortfolioWeights([1.0]), active_thresholds=(1.0,), q_star=None,
             objective_value=2.0, expected_return=2.0, benchmark_return=2.0,
             risk_value=None, simplex_residual=0.0, dominance_residual=0.0,
-            converged=True, iterations={"pso": 0, "newton": 0, "constraint_rounds": 0},
+            converged=True, iterations={"newton": 0, "constraint_rounds": 0},
         )
         out = tmp_path / "one.svg"
         emit_plot(report, out)
