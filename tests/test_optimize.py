@@ -200,6 +200,15 @@ class TestNewtonRefine:
             assert kkt_residual(problem, w, thresholds, diag, q) <= cfg.newton_tol
 
 
+    @pytest.mark.parametrize("beta, r, order", [(0.5, 2.0, 4.7), (0.95, 1.0, 2.0), (0.3, 1.5, 3.0)])
+    def test_external_kkt_recheck_lifted_risk(self, demo, demo_benchmark, beta, r, order):
+        problem = min_risk_problem(demo, demo_benchmark, order, RiskSpec(beta, r))
+        thresholds = [float(t) for t in np.unique(demo_benchmark.outcomes)]
+        w, q, diag = newton_refine(problem, PortfolioWeights.equal(demo.d), thresholds, CFG)
+        assert diag.converged
+        assert kkt_residual(problem, w, thresholds, diag, q) <= CFG.newton_tol
+
+
 class TestMaxReturnDriver:
     def test_rejects_low_order(self, demo, demo_benchmark):
         with pytest.raises(DomainError):
