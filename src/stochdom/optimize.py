@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dominance import _gap_grid, lower_partial_moment, verify
+from .dominance import _Shortfall, verify
 from .risk import higher_order_risk, minimize_phi
 from .types import (
     DimensionError,
@@ -200,7 +200,7 @@ class _DominanceCuts:
         ts = np.unique(np.asarray(thresholds, dtype=float))
         if ts.size == 0:
             raise DomainError("threshold set must be nonempty")
-        bench = np.array([lower_partial_moment(benchmark, float(t), self.k) for t in ts])
+        bench = _Shortfall(self.k, benchmark)(ts)
         smooth = bench > 0.0
         self.ts = ts[smooth]
         self.bench = bench[smooth]
@@ -957,6 +957,12 @@ def _constraint_generation(s, benchmark, p, cfg, spec) -> SolveReport:
         if gap <= cfg.constraint_tol:
             if diag.converged:
                 message = None
+            elif _at_empty_tail(s, spec, refined):
+                message = (
+                    "the optimum sits at an empty tail (the risk equals the largest loss), "
+                    "where the r-norm has no gradient; the smooth KKT residual "
+                    f"{diag.kkt_residual:.3e} cannot reach newton_tol {cfg.newton_tol:g} there"
+                )
             else:
                 message = diag.note or (
                     f"KKT residual {diag.kkt_residual:.3e} above newton_tol {cfg.newton_tol:g}"
@@ -1019,10 +1025,22 @@ def _constraint_generation(s, benchmark, p, cfg, spec) -> SolveReport:
     )
 
 
+def _at_empty_tail(s, spec, w) -> bool:
+    """Whether the lifted risk of w at r > 1 sits at an empty tail (u = 0).
+
+    There the risk equals the largest loss, within 1e-9 max(1, |risk|).
+    """
+    if spec is None or spec.beta == 0.0 or spec.r == 1.0:
+        return False
+    port = portfolio_return_variable(s, w)
+    rho = higher_order_risk(port, spec).rho
+    return abs(rho - float(spec.losses(port.outcomes).max())) <= 1e-9 * max(1.0, abs(rho))
+
+
 def _active_thresholds(s, benchmark, p, w, thresholds, worst_t, activity_tol=1e-6):
     port = portfolio_return_variable(s, w)
     ts = np.asarray(thresholds, dtype=float)
-    gaps = _gap_grid(port, benchmark, p, ts)
+    gaps = _Shortfall(p - 1.0, port, benchmark)(ts)
     order = np.argsort(-gaps, kind="stable")
     active = [float(ts[i]) for i in order if gaps[i] >= -activity_tol]
     out = [float(worst_t)]

@@ -7,6 +7,7 @@ sorting, deliberately avoiding the library's own evaluation paths.
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 
 import numpy as np
 
@@ -79,6 +80,32 @@ def dense_grid_gap_max(y_out, y_pr, x_out, x_pr, p: float,
             d = a + invphi * (b - a)
             fd = f(d)
     return max(best, f(a), f(b), f(0.5 * (a + b)))
+
+
+def order2_supremum_exact(y_out, y_pr, x_out, x_pr) -> float:
+    """sup over t of E[(t - Y)_+] - E[(t - X)_+], in exact rational arithmetic.
+
+    The gap is piecewise linear with kinks at the atoms, and beyond the
+    last atom it tends to mean(X) - mean(Y), so the supremum is the
+    larger of the gap at the atoms and that mean condition.  Every float
+    input is a dyadic rational, so the running masses and first moments
+    below each atom are exact Fractions.
+    """
+    events = sorted([(float(z), float(pr), 0) for z, pr in zip(y_out, y_pr)]
+                    + [(float(z), float(pr), 1) for z, pr in zip(x_out, x_pr)])
+    mass, first = [Fraction(0), Fraction(0)], [Fraction(0), Fraction(0)]
+    best = None
+    i = 0
+    while i < len(events):
+        t = Fraction(events[i][0])
+        gap = (t * mass[0] - first[0]) - (t * mass[1] - first[1])
+        best = gap if best is None else max(best, gap)
+        while i < len(events) and events[i][0] == t:
+            _, pr, side = events[i]
+            mass[side] += Fraction(pr)
+            first[side] += Fraction(pr) * t
+            i += 1
+    return float(max(best, first[1] - first[0]))
 
 
 def cvar_sorted_tail(losses, probabilities, beta: float) -> float:

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,8 +16,31 @@ from stochdom import (
     mean,
     verify,
 )
+from stochdom.dominance import _Shortfall
 from tests.conftest import random_variable
-from tests.oracles import dense_grid_gap_max, gap_direct, lpm_direct
+from tests.oracles import dense_grid_gap_max, gap_direct, lpm_direct, order2_supremum_exact
+
+
+def fat_tailed(rng: np.random.Generator, n: int, shift: float = 0.0) -> DiscreteRandomVariable:
+    """n percent returns with Student-t tails and uneven probabilities."""
+    return DiscreteRandomVariable(shift + 0.04 + 0.9 * rng.standard_t(5, n),
+                                  rng.dirichlet(np.full(n, 4.0)))
+
+
+def mean_preserving_spread(rng: np.random.Generator, v: DiscreteRandomVariable) -> DiscreteRandomVariable:
+    """Each atom z splits into z - a and z + b with E[new | z] = z."""
+    z, p = v.outcomes, v.probabilities
+    a = rng.uniform(0.05, 0.4, z.size)
+    b = rng.uniform(0.05, 0.4, z.size)
+    return DiscreteRandomVariable(np.concatenate([z - a, z + b]),
+                                  np.concatenate([p * b / (a + b), p * a / (a + b)]))
+
+
+@pytest.fixture(scope="module")
+def large_pair():
+    """Two independent 10^4-atom samples, Y shifted up by a tenth of a percent."""
+    rng = np.random.default_rng(2003)
+    return fat_tailed(rng, 10_000, shift=0.1), fat_tailed(rng, 10_000)
 
 
 class TestLowerPartialMoment:
@@ -74,6 +98,85 @@ class TestLowerPartialMoment:
                     + lower_partial_moment(v, t + h, k)
                 )
                 assert second >= -1e-9
+
+
+class TestSortedSweep:
+    """The sweep evaluator against per-atom summation, and its cost."""
+
+    @pytest.fixture(scope="class")
+    def sample(self):
+        v = fat_tailed(np.random.default_rng(17), 10_000)
+        z = v.outcomes
+        lo, hi = float(z[0]), float(z[-1])
+        at = z[::500]
+        ts = np.concatenate([
+            at,                                   # strictly excludes the atom itself
+            np.nextafter(at, np.inf),             # includes it at a distance of one ulp
+            at + 1e-3,
+            [lo - 1.0, lo - (hi - lo)],           # below the support
+            [hi, hi + 10.0 * (hi - lo)],          # last atom and 10 support widths past it
+        ])
+        return v, ts
+
+    @pytest.mark.parametrize("k", [0.0, 1.0, 2.0, 3.0, 4.0, 0.5, 1.5, 2.7, 3.7])
+    def test_matches_direct_sum_on_ten_thousand_atoms(self, sample, k):
+        v, ts = sample
+        got = _Shortfall(k, v)(ts)
+        for t, g in zip(ts, got):
+            assert g == pytest.approx(lpm_direct(v.outcomes, v.probabilities, t, k), rel=1e-12, abs=0.0)
+
+    def test_order_zero_is_the_strict_cdf(self, sample):
+        v, _ = sample
+        cdf = _Shortfall(0.0, v)(v.outcomes)
+        assert cdf[0] == 0.0
+        assert np.array_equal(cdf[1:], _Shortfall(0.0, v)(np.nextafter(v.outcomes[:-1], np.inf)))
+        assert cdf[1:] == pytest.approx(np.cumsum(v.probabilities)[:-1], rel=1e-12)
+
+    def test_thresholds_in_any_order(self, sample):
+        v, ts = sample
+        perm = np.random.default_rng(0).permutation(ts.size)
+        for k in (2.0, 2.7):
+            f = _Shortfall(k, v)
+            assert np.array_equal(f(ts[perm]), f(ts)[perm])
+
+    def test_order_two_large_pair_matches_exact_supremum(self, large_pair):
+        y, x = large_pair
+        cert = verify(y, x, 2.0)
+        sup = order2_supremum_exact(y.outcomes, y.probabilities, x.outcomes, x.probabilities)
+        assert cert.worst_gap == pytest.approx(sup, rel=1e-12, abs=1e-15)
+        assert cert.dominates == (sup <= cert.tolerance)
+
+    def test_order_two_large_pair_memory(self, large_pair):
+        y, x = large_pair
+        tracemalloc.start()
+        try:
+            verify(y, x, 2.0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2**20
+
+    @pytest.mark.parametrize("p", [3.0, 4.0])
+    @pytest.mark.parametrize("pair", ["seeded", "dyadic"])
+    def test_tail_stationary_points_bounded_by_degree(self, p, pair):
+        # beyond the last atom the gap derivative is a polynomial of
+        # degree p - 2 in t, so it has at most p - 2 real zeros there
+        if pair == "seeded":
+            rng = np.random.default_rng(int(p))
+            x = fat_tailed(rng, 700)
+            y = mean_preserving_spread(rng, x)
+        else:
+            # exact arithmetic: at p = 3 the tail derivative is exactly zero
+            x = DiscreteRandomVariable([0.0], [1.0])
+            y = DiscreteRandomVariable([-1.0, 1.0], [0.5, 0.5])
+        assert mean(y) == pytest.approx(mean(x), abs=1e-14)
+        cfg = SearchConfig()
+        ts = critical_thresholds(y, x, p, cfg)
+        atoms = np.union1d(y.outcomes, x.outcomes)
+        lo, hi = float(atoms[0]), float(atoms[-1])
+        probes = hi + cfg.tail_horizon * (hi - lo) * np.geomspace(1e-4, 1.0, cfg.tail_probes)
+        tail_roots = np.setdiff1d(ts[ts > hi], probes)
+        assert tail_roots.size <= p - 2
 
 
 class TestDominanceGap:

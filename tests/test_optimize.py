@@ -383,3 +383,18 @@ def test_valid_input_never_raises(case):
     assert report.dominance_residual <= CFG.constraint_tol
     assert report.simplex_residual <= 1e-6
     assert report.converged or report.message
+
+
+def test_empty_tail_report_names_the_cause():
+    # with 16 equally likely scenarios, (1 / (1 - beta)) p^(1/3) > 1, so
+    # the risk is the worst loss and the optimum has no tail beyond q
+    make_returns, order, spec = NEVER_RAISE_CASES["sweep-12-r3"]
+    s = ScenarioSet(make_returns())
+    report = optimize_min_risk(s, equal_weight_benchmark(s), order, spec, CFG)
+    port = portfolio_return_variable(s, report.weights)
+    largest_loss = float(spec.losses(port.outcomes).max())
+    assert abs(report.risk_value - largest_loss) <= 1e-9 * max(1.0, abs(report.risk_value))
+    assert not report.converged
+    assert "empty tail" in report.message
+    assert "no gradient" in report.message
+    assert "above newton_tol" not in report.message
