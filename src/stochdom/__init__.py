@@ -5,7 +5,6 @@ from .dataio import dump_scenarios, load_scenarios, load_variable, load_weights
 from .datasets import demo_scenarios, write_demo_csv
 from .dominance import (
     DominanceCertificate,
-    SearchConfig,
     critical_thresholds,
     dominance_gap_at,
     lower_partial_moment,
@@ -45,7 +44,7 @@ __all__ = [
     "DiscreteRandomVariable", "ScenarioSet", "PortfolioWeights", "DominanceOrder",
     "RiskSpec", "LossSign", "DomainError", "DimensionError",
     "portfolio_return_variable", "mean",
-    "SearchConfig", "DominanceCertificate", "lower_partial_moment",
+    "DominanceCertificate", "lower_partial_moment",
     "dominance_gap_at", "critical_thresholds", "verify",
     "RiskValue", "higher_order_risk", "risk_gradient_in_weights",
     "SolverConfig", "SolveReport", "NewtonProblem", "NewtonDiagnostics",

@@ -102,6 +102,8 @@ def render_text(report, *, order: float, verbose: bool = False,
             lines.append(f"Worst threshold: t = {report.worst_t:.10g}")
             lines.append(f"Worst gap: {report.worst_gap:.10g} (tolerance {report.tolerance:g})")
             lines.append(f"Thresholds checked: {report.checked_points}")
+            lines.append(f"Decided by: {report.binding}")
+            lines.append(f"Certified supremum of the gap: {report.upper_bound:.10g}")
         return "\n".join(lines) + "\n"
 
     r: SolveReport = report

@@ -9,7 +9,6 @@ import pytest
 from stochdom import (
     DiscreteRandomVariable,
     DomainError,
-    SearchConfig,
     critical_thresholds,
     dominance_gap_at,
     lower_partial_moment,
@@ -18,7 +17,14 @@ from stochdom import (
 )
 from stochdom.dominance import _Shortfall
 from tests.conftest import random_variable
-from tests.oracles import dense_grid_gap_max, gap_direct, lpm_direct, order2_supremum_exact
+from tests.oracles import (
+    dense_grid_gap_max,
+    gap_direct,
+    gap_exact,
+    lpm_direct,
+    order2_supremum_exact,
+    tail_gap_max,
+)
 
 
 def fat_tailed(rng: np.random.Generator, n: int, shift: float = 0.0) -> DiscreteRandomVariable:
@@ -160,23 +166,31 @@ class TestSortedSweep:
     @pytest.mark.parametrize("pair", ["seeded", "dyadic"])
     def test_tail_stationary_points_bounded_by_degree(self, p, pair):
         # beyond the last atom the gap derivative is a polynomial of
-        # degree p - 2 in t, so it has at most p - 2 real zeros there
+        # degree p - 2, so the set holds at most p - 2 of its zeros there,
+        # next to the window end 10 support widths out
         if pair == "seeded":
             rng = np.random.default_rng(int(p))
             x = fat_tailed(rng, 700)
-            y = mean_preserving_spread(rng, x)
+            # shifted up, so the tail gap rises and then falls
+            spread = mean_preserving_spread(rng, x)
+            y = DiscreteRandomVariable(spread.outcomes + 0.002, spread.probabilities)
         else:
             # exact arithmetic: at p = 3 the tail derivative is exactly zero
             x = DiscreteRandomVariable([0.0], [1.0])
             y = DiscreteRandomVariable([-1.0, 1.0], [0.5, 0.5])
-        assert mean(y) == pytest.approx(mean(x), abs=1e-14)
-        cfg = SearchConfig()
-        ts = critical_thresholds(y, x, p, cfg)
+        ts = critical_thresholds(y, x, p)
         atoms = np.union1d(y.outcomes, x.outcomes)
         lo, hi = float(atoms[0]), float(atoms[-1])
-        probes = hi + cfg.tail_horizon * (hi - lo) * np.geomspace(1e-4, 1.0, cfg.tail_probes)
-        tail_roots = np.setdiff1d(ts[ts > hi], probes)
+        window_end = hi + 10.0 * (hi - lo)
+        assert window_end in ts
+        tail_roots = ts[(ts > hi) & (ts != window_end)]
         assert tail_roots.size <= p - 2
+        if pair == "seeded" and p == 4.0:
+            # the zero of 3 (2 dM1 d + dM2): dM1 = mean(X) - mean(Y) < 0, dM2 > 0
+            assert tail_roots.size == 1
+            near = tail_roots[0] * (1.0 + np.array([-1e-6, 0.0, 1e-6]))
+            gaps = [dominance_gap_at(y, x, p, float(t)) for t in near]
+            assert gaps[1] >= max(gaps[0], gaps[2])
 
 
 class TestDominanceGap:
@@ -203,14 +217,11 @@ class TestDominanceGap:
 
 
 class TestCriticalThresholds:
-    def test_order_two_atoms_plus_tail_probes(self, golden_y, golden_x):
-        cfg = SearchConfig()
-        ts = critical_thresholds(golden_y, golden_x, 2.0, cfg)
-        atoms = set(range(2, 12))
-        assert atoms.issubset(set(ts.tolist()))
-        assert ts.size == len(atoms) + cfg.tail_probes
-        span = 11.0 - 2.0
-        assert ts.max() == pytest.approx(11.0 + cfg.tail_horizon * span)
+    def test_order_two_atoms_plus_window_end(self, golden_y, golden_x):
+        # the order-2 gap is linear between atoms and constant past the
+        # last one: the atoms and the window end are the whole set
+        ts = critical_thresholds(golden_y, golden_x, 2.0)
+        assert ts.tolist() == [*range(2, 12), 11.0 + 10.0 * (11.0 - 2.0)]
 
     def test_identity_gap_vanishes_everywhere(self, golden_y):
         ts = critical_thresholds(golden_y, golden_y, 3.0)
@@ -237,9 +248,16 @@ class TestCriticalThresholds:
             assert crit == pytest.approx(grid, abs=max(1e-9, 1e-12 * abs(grid)))
 
     def test_diagnostics_channel(self, golden_y, golden_x):
-        diag: dict = {}
-        critical_thresholds(golden_y, golden_x, 3.0, diagnostics=diag)
-        assert diag["root_fallback_intervals"] == 0
+        for p, fractional in ((3.0, False), (3.5, True)):
+            diag: dict = {}
+            ts = critical_thresholds(golden_y, golden_x, p, diagnostics=diag)
+            assert set(diag) == {"gaps", "upper_bound", "witness", "lead", "evaluations"}
+            assert diag["gaps"] == pytest.approx([dominance_gap_at(golden_y, golden_x, p, t) for t in ts],
+                                                 rel=1e-12, abs=1e-12)
+            assert diag["witness"] is None
+            assert diag["lead"] == 1             # mean(Y) > mean(X) sends the tail gap down
+            assert diag["upper_bound"] >= diag["gaps"].max()
+            assert (diag["evaluations"] > 0) == fractional
 
 
 class TestVerify:
@@ -367,3 +385,114 @@ class TestVerify:
                 n_points=10**5,
             )
             assert crit == pytest.approx(grid, abs=1e-9)
+
+
+def benchmark_spread_fails(seed: int, stream: int):
+    """A `p<order>-spread-fails` pair of the benchmark (perfbench/inputs.py), rebuilt from its seed.
+
+    X has 700 fat-tailed atoms; Y splits each atom z into z - a and
+    z + b, E[new | z] = z, with a and b scaled by the spread of X.
+    """
+    rng = np.random.default_rng([seed, stream])
+    fat_tailed(rng, 1000)                 # the dominating pair drawn first from the same stream
+    z = 0.04 + 0.9 * rng.standard_t(5, 700)
+    p = rng.dirichlet(np.full(700, 4.0))
+    scale = float(np.std(z))
+    a = rng.uniform(0.05, 0.4, z.size) * scale
+    b = rng.uniform(0.05, 0.4, z.size) * scale
+    y = DiscreteRandomVariable(np.concatenate([z - a, z + b]),
+                               np.concatenate([p * b / (a + b), p * a / (a + b)]))
+    return y, DiscreteRandomVariable(z, p)
+
+
+def grid_and_tail_verdict(y, x, p, tol):
+    """Dominance as the oracles see it: dense grid over the window, then the tail series to 10^4 widths."""
+    args = (y.outcomes, y.probabilities, x.outcomes, x.probabilities, p)
+    grid = dense_grid_gap_max(*args, n_points=10**5)
+    return grid, max(grid, tail_gap_max(*args)) <= tol
+
+
+class TestCertifiedSupremum:
+    """verify bounds the gap over every threshold, tail included."""
+
+    def test_tail_reproducer(self):
+        # equal means, but dM2 = 1e-3: the order-4 tail gap is 3 t dM2 - dM3
+        y = DiscreteRandomVariable([-0.1001, 10.0], [10.0 / 10.1001, 0.1001 / 10.1001])
+        x = DiscreteRandomVariable([-1.0, 1.0], [0.5, 0.5])
+        cert = verify(y, x, 4)
+        assert not cert.dominates
+        assert cert.binding == "tail"
+        assert cert.upper_bound == math.inf
+        assert cert.worst_t > 10.0 + 10.0 * (10.0 + 1.0)
+        exact = float(gap_exact(y.outcomes, y.probabilities, x.outcomes, x.probabilities, 4.0, cert.worst_t))
+        assert exact > cert.tolerance
+        assert cert.worst_gap == pytest.approx(exact, rel=1e-12)
+
+    def test_exact_tail_coefficients(self):
+        # the benchmark's seed-1 order-4 spread pair, 10 support widths past
+        # its last atom: 26.959677005421790 in 60-digit arithmetic
+        y, x = benchmark_spread_fails(seed=1, stream=12)
+        atoms = np.union1d(y.outcomes, x.outcomes)
+        t = float(atoms[-1] + 10.0 * (atoms[-1] - atoms[0]))
+        assert t == pytest.approx(128.33596635661345, rel=1e-15)
+        exact = float(gap_exact(y.outcomes, y.probabilities, x.outcomes, x.probabilities, 4.0, t))
+        assert exact == pytest.approx(26.959677005421790, rel=1e-15)
+        assert _Shortfall(3.0, y, x)(np.array([t]))[0] == pytest.approx(exact, rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("p", [1.5, 2.5, 3.3, 4.7])
+    def test_soundness_sweep(self, p):
+        rng = np.random.default_rng(int(10 * p))
+        verdicts = set()
+        for trial in range(16):
+            x = random_variable(rng, scale=0.5)
+            kind = trial % 4
+            if kind == 0:
+                y = DiscreteRandomVariable(x.outcomes + float(rng.uniform(0.0, 0.3)), x.probabilities)
+            elif kind == 3:
+                # riskier at the same mean: fails at every order
+                y = mean_preserving_spread(rng, x)
+            else:
+                y = random_variable(rng, scale=0.5)
+                if kind == 1:
+                    # ordered means, as in the acceptance suite's criterion 5
+                    delta = mean(x) - mean(y)
+                    x = DiscreteRandomVariable(x.outcomes - max(delta, 0.0), x.probabilities)
+            cert = verify(y, x, p)
+            grid, dominates = grid_and_tail_verdict(y, x, p, cert.tolerance)
+            assert cert.upper_bound >= grid - 1e-12 * max(1.0, abs(grid))
+            assert cert.upper_bound >= cert.worst_gap
+            assert cert.worst_gap >= grid - 1e-9 * max(1.0, abs(grid))
+            assert cert.dominates == dominates
+            verdicts.add(cert.dominates)
+        assert verdicts == {True, False}
+
+    @pytest.mark.parametrize("direction", ["dominates", "fails"])
+    def test_work_count_guard(self, direction):
+        # thresholds passed to the fractional evaluator, not seconds
+        rng = np.random.default_rng(47)
+        base = fat_tailed(rng, 500)
+        spread = mean_preserving_spread(rng, base)
+        y, x = (base, spread) if direction == "dominates" else (spread, base)
+        diag: dict = {}
+        critical_thresholds(y, x, 4.7, 1e-8, diag)
+        merged = np.union1d(y.outcomes, x.outcomes).size
+        assert merged >= 1000
+        assert diag["evaluations"] <= 3 * merged
+        assert verify(y, x, 4.7).dominates == (direction == "dominates")
+
+    def test_binding(self, golden_y, golden_x):
+        # mean(golden_x) < mean(golden_y): at order 2 the gap past the last
+        # atom is the mean deficit, at order 3 it grows without bound
+        for p in (2.0, 3.0, 3.5):
+            cert = verify(golden_x, golden_y, p)
+            assert cert.binding == "mean"
+            assert cert.upper_bound == (pytest.approx(0.9) if p == 2.0 else math.inf)
+        cert = verify(golden_y, golden_x, 2.0)
+        assert cert.dominates and cert.binding == "atom"
+        # a violation between atoms, where the gap peaks near t = 1.537
+        y = DiscreteRandomVariable([0.1, 3.0], [0.4, 0.6])
+        x = DiscreteRandomVariable([0.7, 2.0], [0.9, 0.1])
+        cert = verify(y, x, 3.5)
+        assert cert.binding == "interior"
+        assert 0.7 < cert.worst_t < 2.0
+        assert cert.worst_gap <= cert.upper_bound <= cert.worst_gap + 1e-10

@@ -179,6 +179,8 @@ class TestCliVerify:
         out = capsys.readouterr().out
         assert "Worst threshold" in out
         assert "Thresholds checked" in out
+        assert "Decided by: atom" in out
+        assert "Certified supremum of the gap: 0" in out
 
 
 class TestCliSolve:
