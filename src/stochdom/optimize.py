@@ -11,7 +11,10 @@ The min-risk objective is lifted over (x, q, u) with tail-excess rows
 u_j >= L_j(x) - q and u_j >= 0, and minimizes q + ||u||_{r,p} / (1 - beta):
 linear at r = 1 (Rockafellar & Uryasev, 2000) and a p-weighted r-norm for
 r > 1 (Krokhmal, Quant. Finance 2007).  One smooth convex problem thus
-serves every r >= 1.
+serves every r >= 1.  When p_j^(1/r) >= 1 - beta for every scenario, the
+risk of every portfolio is its largest loss; that max-loss regime is
+solved as CVaR at tail mass min_j p_j, which avoids the r-norm's kink at
+an empty tail.
 """
 
 from __future__ import annotations
@@ -804,12 +807,28 @@ def _strict_interior(cuts: _DominanceCuts, x: np.ndarray, cfg: SolverConfig):
     return xc, False
 
 
+def _max_loss_regime(s: ScenarioSet, spec: RiskSpec | None) -> bool:
+    """Whether the risk equals the largest scenario loss for every portfolio.
+
+    For q below the largest loss, ||(L - q)_+||_{r,p} >= p_j^(1/r) (max L - q)
+    with j the worst scenario, so phi does not increase below max L once every
+    p_j^(1/r) >= 1 - beta.
+    """
+    return (
+        spec is not None and spec.beta > 0.0
+        and float(s.scenario_probabilities.min()) ** (1.0 / spec.r) >= 1.0 - spec.beta
+    )
+
+
 def _build_inner_problem(problem: NewtonProblem, cuts: _DominanceCuts):
     s, spec = problem.scenarios, problem.risk_spec
     if spec is None:
         return _LinearProblem(-s.mean_returns(), cuts)
     if spec.beta == 0.0:
         return _LinearProblem(spec.sign * s.mean_returns(), cuts)
+    if _max_loss_regime(s, spec):
+        # the largest loss is CVaR at tail mass min_j p_j: linear, with no empty-tail kink
+        spec = RiskSpec(1.0 - float(s.scenario_probabilities.min()), 1.0, spec.loss_sign)
     return _RiskProblem(s, spec, cuts)
 
 
@@ -1029,8 +1048,9 @@ def _at_empty_tail(s, spec, w) -> bool:
     """Whether the lifted risk of w at r > 1 sits at an empty tail (u = 0).
 
     There the risk equals the largest loss, within 1e-9 max(1, |risk|).
+    Solves in the max-loss regime ran a linear problem, which has no such kink.
     """
-    if spec is None or spec.beta == 0.0 or spec.r == 1.0:
+    if spec is None or spec.beta == 0.0 or spec.r == 1.0 or _max_loss_regime(s, spec):
         return False
     port = portfolio_return_variable(s, w)
     rho = higher_order_risk(port, spec).rho

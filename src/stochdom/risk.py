@@ -21,124 +21,123 @@ from .types import (
     ScenarioSet,
 )
 
-_TERNARY_WIDTH = 1e-10
-_BRACKET_EXTENSIONS = 20  # doubling steps; bounded to keep phi cancellation-free
+_EPS = float(np.finfo(float).eps)
 
 
 @dataclass(frozen=True)
 class RiskValue:
-    """Risk measure value and the inner parameter that attains it."""
+    """Risk measure value and the inner parameter that attains it.
+
+    q_star is the smallest minimizer of phi.  At beta = 0 and r > 1 the
+    infimum E[L] is approached only as q -> -inf, so there q_star is the
+    convention min L (at which phi exceeds rho) rather than a minimizer.
+    """
 
     rho: float
     q_star: float
 
 
-def _phi(L: np.ndarray, p: np.ndarray, beta: float, r: float, q: float) -> float:
-    u = L - q
-    mask = u > 0.0
-    if not mask.any():
-        return q
-    s = float(np.dot(p[mask], u[mask] ** r))
-    return q + s ** (1.0 / r) / (1.0 - beta)
+def _phi(tail: np.ndarray, probs: np.ndarray, c: float, r: float, q: float) -> float:
+    """phi(q) over the losses above q, with c = 1 / (1 - beta)."""
+    return q + c * float(probs @ (tail - q) ** r) ** (1.0 / r)
 
 
-def _phi_prime(L: np.ndarray, p: np.ndarray, beta: float, r: float, q: float) -> float:
-    """Derivative of phi in q; right-derivative (+1) once the tail is empty."""
-    u = L - q
-    mask = u > 0.0
-    if not mask.any():
-        return 1.0
-    pm, um = p[mask], u[mask]
-    if r == 1.0:
-        return 1.0 - float(pm.sum()) / (1.0 - beta)
-    s = float(np.dot(pm, um**r))
-    m = float(np.dot(pm, um ** (r - 1.0)))
-    return 1.0 - s ** ((1.0 - r) / r) * m / (1.0 - beta)
+def _slope(tail: np.ndarray, probs: np.ndarray, c: float, r: float, q: float):
+    """phi'(q) and phi''(q) for r > 1, every loss in tail strictly above q."""
+    u = tail - q
+    k = probs * u ** (r - 2.0)
+    m = float(k @ u)
+    s = float(k @ u**2)
+    scale = s ** (1.0 / r - 1.0)
+    return 1.0 - c * scale * m, c * (r - 1.0) * scale * (float(k.sum()) - m * m / s)
 
 
-def minimize_phi(
-    L: np.ndarray,
-    p: np.ndarray,
-    beta: float,
-    r: float,
-    width: float = _TERNARY_WIDTH,
-    polish: bool = True,
-) -> RiskValue:
-    """Inner minimization of phi over q on raw loss/probability arrays.
+def _root(tail, probs, c, r, a, b) -> float:
+    """The zero of phi' between a and b, where phi'(a) < 0 <= phi'(b).
 
-    Runs a bracketed ternary search to the given width on
-    [min L - range, max L], extending the left end while phi still
-    increases there (small beta pushes the minimizer left of the nominal
-    bracket), followed by a derivative-bisection polish when r > 1.
-    Ties resolve to the smallest minimizer.
+    Safeguarded Newton: a step that leaves the bracket, or that follows
+    an evaluation which failed to halve it, is replaced by bisection.
     """
-    lo_min, hi = float(L.min()), float(L.max())
-    if hi - lo_min <= 0.0:
-        return RiskValue(rho=_phi(L, p, beta, r, hi), q_star=hi)
-
-    step = hi - lo_min
-    lo = lo_min - step
-    for _ in range(_BRACKET_EXTENSIONS):
-        if _phi_prime(L, p, beta, r, lo) <= 0.0:
-            break
-        step *= 2.0
-        lo -= step
-
-    # ternary search, biased to keep the leftmost minimizer in bracket
-    a, b = lo, hi
-    for _ in range(400):
-        if b - a <= width:
-            break
-        m1 = a + (b - a) / 3.0
-        m2 = b - (b - a) / 3.0
-        if _phi(L, p, beta, r, m1) <= _phi(L, p, beta, r, m2):
-            b = m2
+    q, width = 0.5 * (a + b), b - a
+    while b - a > 4.0 * np.spacing(max(abs(a), abs(b))):
+        g, h = _slope(tail, probs, c, r, q)
+        if g == 0.0:
+            return q
+        if g < 0.0:
+            a = q
         else:
-            a = m1
-    q_star = a
+            b = q
+        nxt = q - g / h if h > 0.0 else b
+        if not a < nxt < b or b - a > 0.5 * width:
+            nxt = 0.5 * (a + b)
+        width = b - a
+        if abs(nxt - q) <= 4.0 * np.spacing(abs(q)):
+            return nxt
+        q = nxt
+    return q
 
-    if polish and r > 1.0:
-        q_star = _derivative_bisection(L, p, beta, r, lo, hi, fallback=q_star)
 
-    return RiskValue(rho=_phi(L, p, beta, r, q_star), q_star=q_star)
+def minimize_phi(L: np.ndarray, p: np.ndarray, beta: float, r: float) -> RiskValue:
+    """Exact inner minimization of phi over q on raw loss/probability arrays.
+
+    phi is convex, and between consecutive sorted losses the tail set
+    {L > q} is fixed.  One sort and a binary search over the sorted losses
+    on the sign of the right derivative phi' find the segment holding the
+    smallest minimizer; safeguarded Newton solves phi' = 0 inside it.  Left
+    of min L the bracket is found by doubling from min L.  Cost:
+    O(n log n) for the sort and the O(log n) derivative evaluations.
+
+    - r = 1: the lower beta-quantile, read off the cumulative
+      probabilities (Rockafellar & Uryasev 2000).
+    - beta = 0: rho = E[L] exactly and q_star = min L (see ``RiskValue``).
+    - p_j^(1/r) >= 1 - beta for the largest loss: phi' < 0 below max L,
+      so rho = q_star = max L.
+    """
+    vals, inv = np.unique(L, return_inverse=True)
+    probs = np.bincount(inv, weights=p)
+    expected = RiskValue(rho=float(p @ L), q_star=float(vals[0]))
+    if beta == 0.0:
+        return expected
+    c, last = 1.0 / (1.0 - beta), vals.size - 1
+    if r == 1.0:
+        k = min(int(np.searchsorted(np.cumsum(probs), beta)), last)
+        q = float(vals[k])
+        return RiskValue(rho=_phi(vals[k:], probs[k:], c, r, q), q_star=q)
+
+    # smallest k with phi'(vals[k]+) >= 0; at max L the right slope is +1
+    k, hi = 0, last
+    while k < hi:
+        mid = (k + hi) // 2
+        if _slope(vals[mid + 1 :], probs[mid + 1 :], c, r, vals[mid])[0] >= 0.0:
+            hi = mid
+        else:
+            k = mid + 1
+    q = float(vals[k])
+    if k == last:
+        # only max L is in the tail below it, with constant slope < 0
+        return RiskValue(rho=q, q_star=q)
+    tail, tprobs = vals[k:], probs[k:]
+    if k > 0:
+        q = _root(tail, tprobs, c, r, float(vals[k - 1]), q)
+    else:
+        d = span = float(vals[last] - vals[0])
+        while _slope(tail, tprobs, c, r, q - d)[0] >= 0.0:
+            if (span / d) ** 2 < _EPS:
+                # phi' depends on the losses only through (span / d)^2, now
+                # below rounding: beta is too small to resolve and acts as 0
+                return expected
+            d *= 2.0
+        q = _root(tail, tprobs, c, r, q - d, q)
+    return RiskValue(rho=_phi(tail, tprobs, c, r, q), q_star=q)
 
 
 def higher_order_risk(v: DiscreteRandomVariable, spec: RiskSpec) -> RiskValue:
     """Evaluate the higher-order risk measure of v under spec.
 
     Losses are v's outcomes mapped per ``spec.loss_sign`` (default:
-    negated returns); the inner minimizer follows ``minimize_phi`` at
-    full precision.
+    negated returns); the inner minimizer is ``minimize_phi``'s exact one.
     """
     return minimize_phi(spec.losses(v.outcomes), v.probabilities, spec.beta, spec.r)
-
-
-def _derivative_bisection(L, p, beta, r, lo, hi, fallback):
-    """Polish the minimizer of phi by bisecting on the sign of phi'.
-
-    phi' is continuous for r > 1 except for a possible upward jump at
-    max L; treating the right endpoint as positive makes the bisection
-    converge onto that kink when the minimizer sits there.
-    """
-    fa = _phi_prime(L, p, beta, r, lo)
-    if fa >= 0.0:
-        cand = lo
-    else:
-        a, b = lo, hi
-        for _ in range(200):
-            if b - a <= 1e-14 * max(1.0, abs(a), abs(b)):
-                break
-            m = 0.5 * (a + b)
-            if _phi_prime(L, p, beta, r, m) < 0.0:
-                a = m
-            else:
-                b = m
-        cand = 0.5 * (a + b)
-    # keep whichever candidate is better; prefer the smaller q on ties
-    pc, pf = _phi(L, p, beta, r, cand), _phi(L, p, beta, r, fallback)
-    if pc < pf or (pc == pf and cand < fallback):
-        return cand
-    return fallback
 
 
 def risk_gradient_in_weights(

@@ -385,12 +385,32 @@ def test_valid_input_never_raises(case):
     assert report.converged or report.message
 
 
-def test_empty_tail_report_names_the_cause():
-    # with 16 equally likely scenarios, (1 / (1 - beta)) p^(1/3) > 1, so
-    # the risk is the worst loss and the optimum has no tail beyond q
+def test_max_loss_regime_converges_to_the_largest_loss():
+    # with 16 equally likely scenarios, p_j^(1/3) >= 1 - beta, so the risk
+    # is the largest loss for every portfolio and the solve is linear
     make_returns, order, spec = NEVER_RAISE_CASES["sweep-12-r3"]
     s = ScenarioSet(make_returns())
     report = optimize_min_risk(s, equal_weight_benchmark(s), order, spec, CFG)
+    port = portfolio_return_variable(s, report.weights)
+    largest_loss = float(spec.losses(port.outcomes).max())
+    assert report.converged
+    assert abs(report.risk_value - largest_loss) <= 1e-9
+
+
+def uneven_instance(seed: int) -> ScenarioSet:
+    """Small random returns with Dirichlet(0.5) scenario probabilities."""
+    rng = np.random.default_rng(seed)
+    d, n = int(rng.integers(3, 6)), int(rng.integers(10, 30))
+    returns = np.round(rng.normal(0.1, 1.0, (d, n)), 3)
+    return ScenarioSet(returns, rng.dirichlet(np.full(n, 0.5)))
+
+
+def test_empty_tail_report_names_the_cause():
+    # uneven probabilities: outside the max-loss regime, yet the optimum
+    # has no tail beyond q, where the r-norm has no gradient
+    s, spec = uneven_instance(11), RiskSpec(0.8, 3.0)
+    assert s.scenario_probabilities.min() ** (1.0 / spec.r) < 1.0 - spec.beta
+    report = optimize_min_risk(s, equal_weight_benchmark(s), 4.7, spec, CFG)
     port = portfolio_return_variable(s, report.weights)
     largest_loss = float(spec.losses(port.outcomes).max())
     assert abs(report.risk_value - largest_loss) <= 1e-9 * max(1.0, abs(report.risk_value))
@@ -398,3 +418,16 @@ def test_empty_tail_report_names_the_cause():
     assert "empty tail" in report.message
     assert "no gradient" in report.message
     assert "above newton_tol" not in report.message
+
+
+def test_demo_sweep_never_raises_and_mostly_converges(demo, demo_benchmark):
+    unconverged = []
+    for order in (2.0, 2.5, 3.0, 4.0, 4.7):
+        for beta in (0.0, 0.5, 0.9):
+            for r in (1.0, 2.0, 3.0):
+                report = optimize_min_risk(demo, demo_benchmark, order, RiskSpec(beta, r), CFG)
+                assert not report.infeasible
+                assert report.converged or report.message
+                if not report.converged:
+                    unconverged.append((order, beta, r))
+    assert len(unconverged) <= 3, unconverged

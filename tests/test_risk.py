@@ -11,7 +11,9 @@ from stochdom import (
     PortfolioWeights,
     RiskSpec,
     ScenarioSet,
+    demo_scenarios,
     higher_order_risk,
+    portfolio_return_variable,
     risk_gradient_in_weights,
 )
 from tests.oracles import cvar_sorted_tail, phi_direct
@@ -124,6 +126,53 @@ class TestHigherOrderRisk:
             RiskSpec(beta=1.2, r=1.0)
         with pytest.raises(DomainError):
             RiskSpec(beta=0.2, r=0.99)
+
+
+class TestExactInnerSolve:
+    @pytest.mark.parametrize("r", [1.0, 1.5, 2.0, 3.0])
+    def test_beta_zero_is_the_expected_loss(self, r):
+        demo = demo_scenarios()
+        rng = np.random.default_rng(13)
+        variables = [portfolio_return_variable(demo, PortfolioWeights.equal(demo.d))]
+        variables += [loss_variable(rng, 30) for _ in range(20)]
+        for v in variables:
+            rv = higher_order_risk(v, RiskSpec(0.0, r))
+            losses = -v.outcomes
+            expected = float(v.probabilities @ losses)
+            assert abs(rv.rho - expected) <= 1e-12 * max(1.0, abs(expected))
+            assert rv.q_star == losses.min()
+
+    def test_max_loss_regime(self):
+        rng = np.random.default_rng(14)
+        checked = 0
+        while checked < 30:
+            v = loss_variable(rng, 16)
+            r = float(rng.choice([1.0, 1.5, 2.0, 3.0]))
+            beta = float(rng.uniform(1.0 - v.probabilities.min() ** (1.0 / r), 1.0))
+            if beta >= 1.0:
+                continue
+            rv = higher_order_risk(v, raw_spec(beta, r))
+            assert rv.rho == rv.q_star == v.outcomes.max()
+            checked += 1
+
+    def test_r1_qstar_is_lower_quantile(self):
+        rng = np.random.default_rng(15)
+        for _ in range(50):
+            v = loss_variable(rng, 20)
+            beta = float(rng.uniform(0.01, 0.99))
+            cdf = np.cumsum(v.probabilities[np.argsort(v.outcomes)])
+            lower_quantile = np.sort(v.outcomes)[np.argmax(cdf >= beta)]
+            assert higher_order_risk(v, raw_spec(beta, 1.0)).q_star == lower_quantile
+
+    def test_qstar_is_a_local_minimizer_to_rounding(self):
+        rng = np.random.default_rng(16)
+        for _ in range(40):
+            v = loss_variable(rng, 20)
+            spec = raw_spec(float(rng.uniform(0.01, 0.95)), float(rng.choice([1.5, 2.0, 2.7, 3.0])))
+            rv = higher_order_risk(v, spec)
+            h = 1e-7 * (v.outcomes.max() - v.outcomes.min())
+            for q in (rv.q_star - h, rv.q_star + h):
+                assert phi_direct(v.outcomes, v.probabilities, spec.beta, spec.r, q) >= rv.rho - 1e-14
 
 
 class TestRiskGradient:
