@@ -10,19 +10,7 @@ from .dominance import (
     lower_partial_moment,
     verify,
 )
-from .optimize import (
-    NewtonDiagnostics,
-    NewtonProblem,
-    SolveReport,
-    SolverConfig,
-    kkt_residual,
-    max_return_problem,
-    min_risk_problem,
-    newton_refine,
-    optimize_max_return,
-    optimize_min_risk,
-    project_to_simplex,
-)
+from .optimize import SolveReport, SolverConfig, optimize_max_return, optimize_min_risk
 from .report import emit_plot, emit_report
 from .risk import RiskValue, higher_order_risk, risk_gradient_in_weights
 from .types import (
@@ -47,10 +35,7 @@ __all__ = [
     "DominanceCertificate", "lower_partial_moment",
     "dominance_gap_at", "critical_thresholds", "verify",
     "RiskValue", "higher_order_risk", "risk_gradient_in_weights",
-    "SolverConfig", "SolveReport", "NewtonProblem", "NewtonDiagnostics",
-    "project_to_simplex", "newton_refine", "kkt_residual",
-    "max_return_problem", "min_risk_problem",
-    "optimize_max_return", "optimize_min_risk",
+    "SolverConfig", "SolveReport", "optimize_max_return", "optimize_min_risk",
     "load_scenarios", "load_variable", "load_weights", "dump_scenarios",
     "demo_scenarios", "write_demo_csv",
     "emit_report", "emit_plot",

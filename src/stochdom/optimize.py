@@ -1,20 +1,22 @@
 """Dominance-constrained portfolio optimizers.
 
-Both optimizers share one deterministic pipeline.  Every solve starts from
-equal weights; phase 1 moves that point strictly inside a finite set of
-threshold cuts (plus the mean condition), a damped Newton method on a
-log-barrier reformulation solves the problem over those cuts, and a
-constraint-generation loop adds the worst violated threshold from a full
-verification pass until dominance is certified.
+Both optimizers share one deterministic pipeline.  Each round builds one
+smooth convex model over a finite set of thresholds (plus the mean
+condition) and solves it by an infeasible-start primal-dual interior-point
+method with Mehrotra predictor-corrector steps, started from equal
+weights; its primal and dual residuals and duality gap certify the
+optimum.  A constraint-generation loop adds the worst violated threshold
+from a full verification pass until dominance is certified.
 
-The min-risk objective is lifted over (x, q, u) with tail-excess rows
-u_j >= L_j(x) - q and u_j >= 0, and minimizes q + ||u||_{r,p} / (1 - beta):
-linear at r = 1 (Rockafellar & Uryasev, 2000) and a p-weighted r-norm for
-r > 1 (Krokhmal, Quant. Finance 2007).  One smooth convex problem thus
-serves every r >= 1.  When p_j^(1/r) >= 1 - beta for every scenario, the
-risk of every portfolio is its largest loss; that max-loss regime is
-solved as CVaR at tail mass min_j p_j, which avoids the r-norm's kink at
-an empty tail.
+The model is smooth in every case.  At order 2 the piecewise-linear cuts
+E[(t - x.xi)_+] <= E[(t - B)_+] are lifted to linear rows over shortfall
+variables s_tj >= t - x.xi_j, s_tj >= 0 (Dentcheva & Ruszczynski, SIAM J.
+Optim. 2003); higher orders keep the smooth cuts in x.  The min-risk
+objective is lifted over (x, q, u) with tail-excess rows u_j >= L_j(x) - q
+and u_j >= 0: at r = 1 it is q + p.u / (1 - beta) (Rockafellar & Uryasev,
+2000), and at r > 1 it is q + eta / (1 - beta) with eta >= ||u||_{r,p}
+written as the perspective row sum_j p_j u_j^r eta^(1 - r) <= eta
+(Krokhmal, Quant. Finance 2007), which stays smooth at an empty tail.
 """
 
 from __future__ import annotations
@@ -37,14 +39,15 @@ from .types import (
     portfolio_return_variable,
 )
 
-# decreasing barrier sequence, factor 10
-BARRIER_MUS = tuple(10.0**-k for k in range(2, 11))
-_INTERIOR_MARGIN = 1e-9
-
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Tuning knobs of the barrier Newton solve and the constraint-generation loop."""
+    """Tuning knobs of the interior-point solve and the constraint-generation loop.
+
+    newton_max_iter caps the interior-point iterations of one round, and
+    newton_tol bounds its certificate: the primal residual, the dual
+    residual and the duality gap, each relative to 1 + |objective|.
+    """
 
     newton_max_iter: int = 100
     newton_tol: float = 1e-10
@@ -85,16 +88,6 @@ def _project(u: np.ndarray) -> np.ndarray:
     rho = idx[s - css / idx > 0.0][-1]
     theta = css[rho - 1] / rho
     return np.maximum(u - theta, 0.0)
-
-
-def project_to_simplex(v) -> PortfolioWeights:
-    """Project an arbitrary real vector onto the weight simplex."""
-    u = np.asarray(v, dtype=float)
-    if u.ndim != 1 or u.size < 1:
-        raise DimensionError("expected a non-empty 1-d vector")
-    if not np.all(np.isfinite(u)):
-        raise DomainError("cannot project a non-finite vector")
-    return PortfolioWeights(_project(u))
 
 
 @dataclass(frozen=True)
@@ -180,11 +173,13 @@ def pso_search(objective, penalty, dim: int, cfg: SwarmConfig | None = None) -> 
 
 
 class _DominanceCuts:
-    """Finite family of dominance constraints g_t(x) <= 0 over thresholds.
+    """Finite family of dominance constraints over thresholds, in x.
 
     Each smooth cut is scaled by its benchmark moment,
     E[(t - x.xi)_+^k] / E[(t - benchmark)_+^k] - 1 <= 0, so that cuts
-    whose moments differ by orders of magnitude share one interior margin.
+    whose moments differ by orders of magnitude share one scale.  At
+    order 2 (k = 1) these cuts are piecewise linear; the model lifts
+    them, and the rows here omit them.
 
     Thresholds at which the benchmark shortfall moment vanishes admit no
     strict sublevel interior (the portfolio moment is nonnegative), so
@@ -209,18 +204,18 @@ class _DominanceCuts:
         self.bench = bench[smooth]
         self.floor_t = float(ts[~smooth].max()) if bool((~smooth).any()) else None
         self.d, self.n = self.xi.shape
+        self.x_ts = self.ts[:0] if self.k == 1.0 else self.ts    # thresholds cut in x
 
     @property
     def m(self) -> int:
-        return self.ts.size + (self.n if self.floor_t is not None else 0) + 1
+        return self.x_ts.size + (self.n if self.floor_t is not None else 0) + 1
 
     def values(self, x: np.ndarray) -> np.ndarray:
         out = x @ self.xi
         parts = []
-        if self.ts.size:
+        if self.x_ts.size:
             diff = np.maximum(self.ts[:, None] - out[None, :], 0.0)
-            port = (diff @ self.p) if self.k == 1.0 else (diff**self.k) @ self.p
-            parts.append(port / self.bench - 1.0)
+            parts.append((diff**self.k) @ self.p / self.bench - 1.0)
         if self.floor_t is not None:
             parts.append(self.floor_t - out)
         parts.append([self.bench_mean - float(self.mr @ x)])
@@ -229,13 +224,9 @@ class _DominanceCuts:
     def jac(self, x: np.ndarray) -> np.ndarray:
         out = x @ self.xi
         parts = []
-        if self.ts.size:
-            raw = self.ts[:, None] - out[None, :]
-            active = raw > 0.0
-            if self.k == 1.0:
-                w = np.where(active, 1.0, 0.0)
-            else:
-                w = np.where(active, self.k * np.maximum(raw, 0.0) ** (self.k - 1.0), 0.0)
+        if self.x_ts.size:
+            raw = np.maximum(self.ts[:, None] - out[None, :], 0.0)
+            w = self.k * raw ** (self.k - 1.0)
             parts.append(-((w * self.p[None, :]) @ self.xi.T) / self.bench[:, None])
         if self.floor_t is not None:
             parts.append(-self.xi.T)
@@ -244,7 +235,7 @@ class _DominanceCuts:
 
     def hess(self, x: np.ndarray, lam: np.ndarray) -> np.ndarray:
         """Multiplier-weighted sum of cut Hessians (floor and mean rows are linear)."""
-        if not self.ts.size or self.k <= 1.0:
+        if not self.x_ts.size:
             return np.zeros((self.d, self.d))
         lam_s = lam[: self.ts.size] / self.bench
         raw = self.ts[:, None] - (x @ self.xi)[None, :]
@@ -252,7 +243,7 @@ class _DominanceCuts:
         expo = self.k - 2.0
         if expo < 0.0:
             # curvature of (.)^k is integrably singular at the kink for
-            # k < 2; clamping keeps the Hessian finite, damping does the rest
+            # k < 2; clamping keeps the Hessian finite
             base = np.where(active, np.maximum(raw, 1e-10), 1.0)
         else:
             base = np.where(active, raw, 0.0)
@@ -261,672 +252,339 @@ class _DominanceCuts:
         return (self.xi * coef[None, :]) @ self.xi.T
 
 
-class _LinearProblem:
-    """Barrier problem: minimize cost.x over the cut polytope.
+class _Model:
+    """One round's smooth convex model.
 
-    Serves max-return (cost = -E[returns]) and beta = 0 min-risk, whose
-    measure is the expected loss for every r.
+    Variables y = (x), (x, q, u) at r = 1, or (x, q, u, eta) at r > 1,
+    and, at order 2, shortfall variables s (thresholds x scenarios).
+
+    - The objective cost.y is linear: -E[x.xi] for max-return, the
+      expected loss at beta = 0, q + c p.u at r = 1 and q + c eta at r > 1,
+      with c = 1 / (1 - beta).
+    - Bounds x, u, eta, s >= 0 and the simplex row sum(x) = 1.
+    - Dense rows g(y) <= 0: the x-space cuts, then for a risk objective
+      L_j(x) - q - u_j <= 0 and, at r > 1, the perspective row
+      sum_j p_j u_j^r eta^(1 - r) - eta <= 0, that is eta >= ||u||_{r,p}.
+      At an optimum u = (L - q)_+ and eta = ||u||_{r,p}, so the objective
+      is phi(q) of the risk measure.
+    - Lifted order-2 rows, one block per smooth threshold t:
+      t - x.xi_j - s_tj <= 0 and sum_j p_j s_tj / E[(t - B)_+] - 1 <= 0.
     """
 
-    def __init__(self, cost: np.ndarray, cuts: _DominanceCuts):
-        self.cost = cost
-        self.cuts = cuts
-        self.d = cost.size
-        self.n_vars = self.d
-        self.m = cuts.m
-
-    def lift(self, x, q=None, mu=None):
-        return np.array(x, dtype=float)
-
-    def obj_value(self, z):
-        return float(self.cost @ z)
-
-    def obj_grad(self, z):
-        return self.cost.copy()
-
-    def obj_hess(self, z):
-        return np.zeros((self.d, self.d))
-
-    def con_values(self, z):
-        return self.cuts.values(z)
-
-    def con_jac(self, z):
-        return self.cuts.jac(z)
-
-    def con_hess(self, z, lam):
-        return self.cuts.hess(z, lam)
-
-
-class _RiskProblem:
-    """Lifted barrier problem over z = (x, q, u) for every r >= 1.
-
-    Minimizes q + c * (sum_j p_j u_j^r)^(1/r), c = 1 / (1 - beta), subject
-    to the cuts on x and the rows L_j(x) - q - u_j <= 0 and -u_j <= 0,
-    where L_j(x) is the loss of scenario j.  At an optimum u = (L - q)_+,
-    so the objective equals phi(q) of the risk measure.
-    """
-
-    def __init__(self, scenarios: ScenarioSet, spec: RiskSpec, cuts: _DominanceCuts):
-        self.loss = spec.sign * scenarios.returns     # L(x) = x @ loss
-        self.probs = scenarios.scenario_probabilities
-        self.r = spec.r
-        self.c = 1.0 / (1.0 - spec.beta)
-        self.cuts = cuts
-        self.d, self.n = scenarios.d, scenarios.n
-        self.n_vars = self.d + 1 + self.n
-        self.m = cuts.m + 2 * self.n
-
-    def lift(self, x, q, mu=None):
-        """The point (x, q, u): u = (L - q)_+ without mu; with mu, the u
-        that is central for the barrier at fixed (x, q).
-
-        Central means w_j(u_j) = mu / u_j + mu / (u_j - e_j) for each
-        scenario, e = L(x) - q and w_j the objective's slope in u_j, taken
-        at the scale of the tail (e)_+; it is found by bisection.
-        """
-        e = x @ self.loss - q
-        if mu is None:
-            return np.concatenate([x, [float(q)], np.maximum(e, 0.0)])
-        ep = np.maximum(e, 0.0)
-        s = float(self.probs @ ep**self.r)
-        scale = s ** (1.0 / self.r - 1.0) if s > 0.0 else 1.0
-
-        def excess(u):   # increasing in u above max(e, 0); its root is central
-            return self.c * scale * self.probs * u**self.r * (u - e) - mu * (2.0 * u - e)
-
-        lo, width = ep, np.ones_like(e)
-        while (excess(lo + width) <= 0.0).any():
-            width *= 2.0
-        for _ in range(60):
-            mid = lo + 0.5 * width
-            up = excess(mid) <= 0.0
-            lo = np.where(up, mid, lo)
-            width *= 0.5
-        return np.concatenate([x, [float(q)], lo + width])
-
-    def _tail(self, z):
-        """Clipped excess u_+, its weighted r-th moment s, and the scale s^(1/r - 1)."""
-        up = np.maximum(z[self.d + 1 :], 0.0)
-        s = float(self.probs @ up**self.r)
-        # zero tail: the norm has no gradient there, use the zero subgradient
-        return up, s, (s ** (1.0 / self.r - 1.0) if s > 0.0 else 0.0)
-
-    def obj_value(self, z):
-        if self.r == 1.0:
-            return float(z[self.d] + self.c * (self.probs @ z[self.d + 1 :]))
-        _, s, _ = self._tail(z)
-        return float(z[self.d] + self.c * s ** (1.0 / self.r))
-
-    def obj_grad(self, z):
-        g = np.zeros(self.n_vars)
-        g[self.d] = 1.0
-        if self.r == 1.0:
-            g[self.d + 1 :] = self.c * self.probs
+    def __init__(self, s: ScenarioSet, benchmark, order, spec: RiskSpec | None, thresholds):
+        self.cuts = cuts = _DominanceCuts(s, benchmark, order, thresholds)
+        self.xi, self.probs = s.returns, s.scenario_probabilities
+        self.d, self.n = d, n = s.d, s.n
+        if spec is None or spec.beta == 0.0:
+            # max-return, or the expected loss, which is the risk at beta = 0 for every r
+            self.r = None
+            sign = -1.0 if spec is None else spec.sign
+            self.cost = sign * s.mean_returns()
         else:
-            up, _, scale = self._tail(z)
-            g[self.d + 1 :] = self.c * scale * self.probs * up ** (self.r - 1.0)
-        return g
+            self.r, self.loss, c = spec.r, spec.sign * s.returns, 1.0 / (1.0 - spec.beta)
+            equal = spec.losses(np.full(d, 1.0 / d) @ s.returns)
+            self.q_start = minimize_phi(equal, self.probs, spec.beta, spec.r).q_star
+            tail = [c * self.probs] if self.r == 1.0 else [np.zeros(n), [c]]
+            self.cost = np.concatenate([np.zeros(d), [1.0], *tail])
+        self.N = N = self.cost.size
+        self.bounded = np.r_[0:d, d + 1 : N]
+        lifted = cuts.k == 1.0
+        self.lift_t = cuts.ts if lifted else cuts.ts[:0]
+        self.lift_scale = 1.0 / cuts.bench if lifted else cuts.ts[:0]
+        self.m = cuts.m + (0 if self.r is None else n + (self.r > 1.0))
 
-    def obj_hess(self, z):
-        H = np.zeros((self.n_vars, self.n_vars))
-        up, s, scale = self._tail(z)
-        if self.r == 1.0 or s <= 0.0:
-            return H
-        r = self.r
-        b = self.probs * up ** (r - 1.0)
-        # u^(r-2) is singular at 0 for r < 2: excesses at 0 get no curvature
-        # and tiny ones are clamped, which keeps the polish's KKT matrix
-        # well conditioned where the row u_j >= 0 pins u_j anyway
-        pos = up > 0.0
-        curv = np.zeros(self.n)
-        curv[pos] = self.probs[pos] * np.maximum(up[pos], 1e-10) ** (r - 2.0)
-        H[self.d + 1 :, self.d + 1 :] = self.c * (r - 1.0) * (
-            scale * np.diag(curv) - (scale / s) * np.outer(b, b)
-        )
-        return H
+    def rows(self, y: np.ndarray):
+        """Values and Jacobian of the dense rows."""
+        d, n, x = self.d, self.n, y[: self.d]
+        g = [self.cuts.values(x)]
+        J = np.zeros((self.m, self.N))
+        mc = self.cuts.m
+        J[:mc, :d] = self.cuts.jac(x)
+        if self.r is not None:
+            q, u = y[d], y[d + 1 : d + 1 + n]
+            g.append(x @ self.loss - q - u)
+            J[mc : mc + n, :d] = self.loss.T
+            J[mc : mc + n, d] = -1.0
+            J[mc + np.arange(n), d + 1 + np.arange(n)] = -1.0
+            if self.r > 1.0:
+                r, eta = self.r, y[-1]
+                rho = u / eta
+                g.append([eta * (float(self.probs @ rho**r) - 1.0)])
+                J[-1, d + 1 : d + 1 + n] = r * self.probs * rho ** (r - 1.0)
+                J[-1, -1] = (1.0 - r) * float(self.probs @ rho**r) - 1.0
+        return np.concatenate(g), J
 
-    def con_values(self, z):
-        x, q, u = z[: self.d], z[self.d], z[self.d + 1 :]
-        return np.concatenate([self.cuts.values(x), x @ self.loss - q - u, -u])
-
-    def con_jac(self, z):
-        Jc = self.cuts.jac(z[: self.d])
+    def hess(self, y: np.ndarray, lam: np.ndarray) -> np.ndarray:
+        """Multiplier-weighted sum of the dense rows' Hessians."""
         d, n = self.d, self.n
-        J = np.zeros((Jc.shape[0] + 2 * n, self.n_vars))
-        J[: Jc.shape[0], :d] = Jc
-        tail = slice(Jc.shape[0], Jc.shape[0] + n)
-        J[tail, :d] = self.loss.T
-        J[tail, d] = -1.0
-        J[tail, d + 1 :] = -np.eye(n)
-        J[Jc.shape[0] + n :, d + 1 :] = -np.eye(n)
-        return J
-
-    def con_hess(self, z, lam):
-        H = np.zeros((self.n_vars, self.n_vars))
-        H[: self.d, : self.d] = self.cuts.hess(z[: self.d], lam)
+        H = np.zeros((self.N, self.N))
+        H[:d, :d] = self.cuts.hess(y[:d], lam)
+        if self.r is not None and self.r > 1.0:
+            # (r (r - 1) / eta) sum_j p_j rho_j^(r - 2) [e_j; -rho_j][e_j; -rho_j]'
+            r, eta = self.r, y[-1]
+            rho = y[d + 1 : d + 1 + n] / eta
+            h = lam[-1] * r * (r - 1.0) / eta * self.probs * rho ** (r - 2.0)
+            idx = d + 1 + np.arange(n)
+            H[idx, idx] = h
+            H[idx, -1] = H[-1, idx] = -h * rho
+            H[-1, -1] = float(h @ rho**2)
         return H
 
+    def near_cone(self, y: np.ndarray) -> bool:
+        """Whether ||u||_{r,p} <= 8 eta at r > 1 (always true otherwise)."""
+        if self.r is None or self.r == 1.0:
+            return True
+        return bool(self.probs @ (y[self.d + 1 : -1] / y[-1]) ** self.r <= 8.0**self.r)
 
-class _Phase1Problem:
-    """Minimize the slack bound z over {g_t(x) <= z}, to find a strict interior point."""
-
-    def __init__(self, cuts: _DominanceCuts):
-        self.cuts = cuts
-        self.d = cuts.d
-        self.n_vars = self.d + 1
-
-    def obj_value(self, z):
-        return float(z[self.d])
-
-    def obj_grad(self, z):
-        g = np.zeros(self.n_vars)
-        g[self.d] = 1.0
-        return g
-
-    def obj_hess(self, z):
-        return np.zeros((self.n_vars, self.n_vars))
-
-    def con_values(self, z):
-        return self.cuts.values(z[: self.d]) - z[self.d]
-
-    def con_jac(self, z):
-        J = self.cuts.jac(z[: self.d])
-        return np.hstack([J, -np.ones((J.shape[0], 1))])
-
-    def con_hess(self, z, lam):
-        H = np.zeros((self.n_vars, self.n_vars))
-        H[: self.d, : self.d] = self.cuts.hess(z[: self.d], lam)
-        return H
+    def start(self) -> "_Iterate":
+        """Equal weights; every other primal value, slack and multiplier at least 1."""
+        d, n = self.d, self.n
+        x = np.full(d, 1.0 / d)
+        y = x
+        if self.r is not None:
+            u = np.maximum(x @ self.loss - self.q_start, 0.0) + 1.0
+            y = np.concatenate([x, [self.q_start], u])
+            if self.r > 1.0:
+                y = np.append(y, float(self.probs @ u**self.r) ** (1.0 / self.r) + 1.0)
+        g, _ = self.rows(y)
+        e = self.lift_t[:, None] - (x @ self.xi)[None, :]
+        s = np.maximum(e, 0.0) + 1.0
+        wb = np.maximum(1.0 - self.lift_scale * (s @ self.probs), 1.0)
+        T = self.lift_t.size
+        return _Iterate(y, np.ones(self.bounded.size), np.maximum(-g, 1.0), np.ones(g.size),
+                        s, np.ones((T, n)), s - e, np.ones((T, n)), wb, np.ones(T), np.zeros(1))
 
 
-@dataclass(frozen=True, eq=False)
-class _BarrierResult:
-    z: np.ndarray
-    converged: bool
-    kkt_residual: float
-    iterations: int
-    stage_iterations: tuple[int, ...]
+@dataclass(eq=False)
+class _Iterate:
+    """Primal-dual point: y with bound duals zb, dense-row slacks w and multipliers lam,
+    shortfalls s with bound duals zs, lift-row slacks wl and multipliers ll,
+    budget-row slacks wb and multipliers lb, and the simplex multiplier nu."""
+
+    y: np.ndarray
+    zb: np.ndarray
+    w: np.ndarray
     lam: np.ndarray
-    bound_multipliers: np.ndarray
-    eq_multiplier: float
-    barrier_mu: float
-    note: str | None
+    s: np.ndarray
+    zs: np.ndarray
+    wl: np.ndarray
+    ll: np.ndarray
+    wb: np.ndarray
+    lb: np.ndarray
+    nu: np.ndarray
 
+    def pairs(self, model):
+        """(primal, dual) complementarity pairs."""
+        return [(self.y[model.bounded], self.zb), (self.w, self.lam), (self.s, self.zs),
+                (self.wl, self.ll), (self.wb, self.lb)]
 
-def _solve_kkt(H: np.ndarray, a: np.ndarray, grad: np.ndarray):
-    """Solve [[H, a], [a', 0]] [dz, nu] = [-grad, 0] with escalating diagonal shifts."""
-    n = a.size
-    K = np.zeros((n + 1, n + 1))
-    K[:n, :n] = H
-    K[:n, n] = a
-    K[n, :n] = a
-    rhs = np.zeros(n + 1)
-    rhs[:n] = -grad
-    delta = 0.0
-    while True:
-        Kd = K if delta == 0.0 else K + np.diag(np.concatenate([np.full(n, delta), [0.0]]))
-        try:
-            sol = np.linalg.solve(Kd, rhs)
-        except np.linalg.LinAlgError:
-            sol = None
-        if sol is not None and np.all(np.isfinite(sol)):
-            return sol[:n], True
-        if delta == 0.0:
-            delta = 1e-10
-        else:
-            delta *= 10.0
-        if delta > 1e-2:
-            return None, False
-
-
-def _barrier_merit(prob, z, mu, g):
-    return prob.obj_value(z) - mu * (float(np.log(-g).sum()) + float(np.log(z[: prob.d]).sum()))
-
-
-def _active_rows(prob, g: np.ndarray) -> np.ndarray:
-    """Rows the polish treats as equalities: slack below 1e-6, plus, for the
-    lifted risk rows, the tighter of each scenario's two rows.
-
-    At r > 1 the row u_j >= 0 of a scenario outside the tail carries a
-    zero multiplier, so its barrier slack decays only like mu^(1/r).
-    """
-    act = g >= -1e-6
-    if isinstance(prob, _RiskProblem):
-        m, n = prob.cuts.m, prob.n
-        tail, nonneg = g[m : m + n], g[m + n :]
-        act[m : m + n] |= tail >= nonneg
-        act[m + n :] |= nonneg > tail
-    return np.flatnonzero(act)
-
-
-def _polish_newton(prob, z0: np.ndarray, mu: float, act: np.ndarray, bnd: np.ndarray):
-    """Undamped Newton on the KKT equations with rows act and bounds bnd held
-    as equalities; returns the iterate of least residual, or None."""
-    d, n = prob.d, prob.n_vars
-    a = np.zeros(n)
-    a[:d] = 1.0
-    z = z0.copy()
-    nA, nB = act.size, bnd.size
-    lamA = mu / np.maximum(-prob.con_values(z)[act], 1e-300)
-    sB = mu / np.maximum(z[:d][bnd], 1e-300)
-    nu = 0.0
-    best = None
-    for _ in range(8):
-        g = prob.con_values(z)
-        J = prob.con_jac(z)
-        lam_full = np.zeros(g.size)
-        lam_full[act] = lamA
-        grad = prob.obj_grad(z) + J.T @ lam_full + nu * a
-        grad[bnd] -= sB
-        F = np.concatenate([grad, g[act], z[:d][bnd], [float(z[:d].sum()) - 1.0]])
-        norm = float(np.abs(F).max())
-        if not np.isfinite(norm):
-            break
-        if best is None or norm < best[0]:
-            best = (norm, z.copy(), lamA.copy(), sB.copy(), nu)
-        if norm <= 1e-14:
-            break
-        K = np.zeros((n + nA + nB + 1, n + nA + nB + 1))
-        K[:n, :n] = prob.obj_hess(z) + prob.con_hess(z, lam_full)
-        K[:n, n : n + nA] = J[act].T
-        K[n : n + nA, :n] = J[act]
-        K[bnd, n + nA + np.arange(nB)] = -1.0
-        K[n + nA + np.arange(nB), bnd] = 1.0
-        K[:n, -1] = a
-        K[-1, :n] = a
-        if not np.all(np.isfinite(K)):
-            break
-        # degenerate active sets (dependent cut rows, more active cuts than
-        # variables) still admit consistent KKT systems; the minimum-norm
-        # least-squares step keeps the multiplier movement bounded there
-        step = np.linalg.lstsq(K, -F, rcond=1e-12)[0]
-        z = z + step[:n]
-        lamA = lamA + step[n : n + nA]
-        sB = sB + step[n + nA : n + nA + nB]
-        nu = nu + float(step[-1])
-    return best
-
-
-def _polish_active_set(prob, z0: np.ndarray, mu: float):
-    """Crossover: Newton on the active-set KKT equations.
-
-    The primal barrier plateaus around 1e-9 stationarity because its
-    Hessian carries mu/g^2 terms; once the active set is identified the
-    equality-form system is well scaled and Newton reaches machine
-    precision.  Rows or bounds that come out with negative multipliers
-    were misidentified and are released; rows or weights the polish
-    drives past their bound are added; then the polish is repeated.
-    Returns None when identification or the solve fails.
-    """
-    d = prob.d
-    act = _active_rows(prob, prob.con_values(z0))
-    bnd = np.flatnonzero(z0[:d] <= 1e-6)
-    for _ in range(3):
-        best = _polish_newton(prob, z0, mu, act, bnd)
-        if best is None:
-            return None
-        norm, z, lamA, sB, nu = best
-        g = prob.con_values(z)
-        inact = np.setdiff1d(np.arange(g.size), act)
-        free = np.setdiff1d(np.arange(d), bnd)
-        hit_a, hit_b = inact[g[inact] > 1e-12], free[z[:d][free] < -1e-12]
-        wrong_a, wrong_b = lamA < -1e-9, sB < -1e-9
-        if not (wrong_a.any() or wrong_b.any() or hit_a.size or hit_b.size):
-            break
-        act = np.union1d(act[~wrong_a], hit_a)
-        bnd = np.union1d(bnd[~wrong_b], hit_b)
-    else:
-        return None
-    if float(np.abs(g[act]).max(initial=0.0)) > 1e-10:
-        return None
-    lam_full = np.zeros(g.size)
-    lam_full[act] = np.maximum(lamA, 0.0)
-    bound_full = np.zeros(d)
-    bound_full[bnd] = np.maximum(sB, 0.0)
-    z = z.copy()
-    z[:d] = np.maximum(z[:d], 0.0)
-    return norm, z, lam_full, bound_full, nu
-
-
-def _barrier_gradient(prob, z, mu, g):
-    """Jacobian, barrier gradient and its simplex-projected max-norm at a strictly interior z."""
-    d = prob.d
-    J = prob.con_jac(z)
-    grad = prob.obj_grad(z) + J.T @ (mu / -g)
-    grad[:d] -= mu / z[:d]
-    nu = -float(grad[:d].sum()) / d
-    return J, grad, float(max(np.abs(grad[:d] + nu).max(), np.abs(grad[d:]).max(initial=0.0)))
-
-
-def _newton_direction(prob, z, mu, g, J, grad):
-    """Newton step on the barrier problem with parameter mu, kept on the simplex."""
-    d = prob.d
-    a = np.zeros(prob.n_vars)
-    a[:d] = 1.0
-    H = prob.obj_hess(z) + (J.T * (mu / g**2)) @ J + prob.con_hess(z, mu / (-g))
-    H[np.arange(d), np.arange(d)] += mu / z[:d] ** 2
-    dz, ok = _solve_kkt(H, a, grad)
-    if ok:
-        dz[:d] -= dz[:d].mean()     # keep the step in the simplex tangent space despite rounding
-    return dz, ok
-
-
-def _first_stage(prob, x0, q0):
-    """Index into BARRIER_MUS and start point for the barrier solve.
-
-    A warm start near the optimum is nearly central for a small mu, and
-    re-tracing the central path from mu = 1e-2 would move it away and
-    back.  The solve starts at the smallest mu for which the lifted start
-    is within O(mu) of stationary (or at the rounding floor) and lies in
-    Newton's quadratic region (squared Newton decrement at most mu / 16),
-    and at BARRIER_MUS[0] otherwise.  A cold start is O(1) from
-    stationary and starts at 1e-2.
-    """
-    for k in range(len(BARRIER_MUS) - 1, 0, -1):
-        mu = BARRIER_MUS[k]
-        z = prob.lift(x0, q0, mu)
-        g = prob.con_values(z)
-        if g.max() >= 0.0:
-            continue
-        J, grad, stationarity = _barrier_gradient(prob, z, mu, g)
-        if stationarity > max(1e3 * mu, 1e-6):     # 1e-6: the rounding floor at small mu
-            continue
-        dz, ok = _newton_direction(prob, z, mu, g, J, grad)
-        if ok and -float(grad @ dz) <= mu / 16.0:
-            return k, z
-    z = prob.lift(x0, q0)
-    z[prob.d + 1 :] += 1.0      # tail excesses, lifted a unit into the strict interior
-    return 0, z
-
-
-def _solve_barrier(prob, z0: np.ndarray, cfg: SolverConfig, stop_when=None, first=0) -> _BarrierResult:
-    z = np.array(z0, dtype=float)
-    d = prob.d
-    a = np.zeros(prob.n_vars)
-    a[:d] = 1.0
-    stage_iterations: list[int] = []
-    total = 0
-    note = None
-    fatal = False
-    mu = mu_prev = BARRIER_MUS[first]
-    for mu in BARRIER_MUS[first:]:
-        stage_tol = max(0.1 * mu, 0.1 * cfg.newton_tol)
-        it = 0
-        while it < cfg.newton_max_iter:
-            g = prob.con_values(z)
-            if g.max() >= 0.0:
-                note = "iterate left the strict interior"
-                fatal = True
-                break
-            x = z[:d]
-            J, grad, stationarity = _barrier_gradient(prob, z, mu, g)
-            if stationarity <= stage_tol:
-                break
-            # the first step of a stage keeps the previous stage's barrier
-            # curvature: from a point central for mu_prev that step is the
-            # central-path tangent step, where the new curvature would
-            # overshoot each slack about mu_prev / mu times
-            dz, ok = _newton_direction(prob, z, mu_prev if it == 0 else mu, g, J, grad)
-            if not ok:
-                note = "singular KKT system beyond regularization"
-                fatal = True
-                break
-            if float(np.abs(dz).max()) <= 1e-13 * max(1.0, float(np.abs(z).max())):
-                break    # stationarity is at its rounding floor; the polish takes over
-
-            # fraction-to-boundary cap for the simplex block
-            alpha = 1.0
-            dx = dz[:d]
-            shrinking = dx < 0.0
-            if shrinking.any():
-                alpha = min(1.0, float(0.99 * np.min(x[shrinking] / -dx[shrinking])))
-            merit0 = _barrier_merit(prob, z, mu, g)
-            slope = float(grad @ dz)
-            accepted = False
-            for _ in range(60):
-                if alpha < 1e-16:
-                    break
-                znew = z + alpha * dz
-                xn = znew[:d]
-                if xn.min() > 0.0:
-                    gn = prob.con_values(znew)
-                    if gn.max() < 0.0:
-                        merit = _barrier_merit(prob, znew, mu, gn)
-                        if merit <= merit0 + 1e-4 * alpha * slope + 1e-12 * max(1.0, abs(merit0)):
-                            accepted = True
-                            break
-                alpha *= 0.5
-            if not accepted:
-                note = note or "line search stalled"
-                break
-            z = znew
-            it += 1
-            total += 1
-            if stop_when is not None and stop_when(z):
-                stage_iterations.append(it)
-                return _finalize_barrier(prob, z, a, mu, cfg, total, stage_iterations, note, polish=False)
-        stage_iterations.append(it)
-        if fatal:
-            break
-        mu_prev = mu
-    return _finalize_barrier(prob, z, a, mu, cfg, total, stage_iterations, note, polish=True)
-
-
-def _finalize_barrier(prob, z, a, mu, cfg, total, stage_iterations, note, polish=True) -> _BarrierResult:
-    d = prob.d
-    x = z[:d]
-    g = prob.con_values(z)
-    lam = mu / np.maximum(-g, 1e-300)
-    grad = prob.obj_grad(z) + prob.con_jac(z).T @ lam
-    bound = mu / np.maximum(x, 1e-300)
-    grad[:d] -= bound
-    nu = -float(a @ grad) / d
-    stationarity = float(np.abs(grad + nu * a).max())
-    primal = abs(float(x.sum()) - 1.0)
-    ineq = float(max(g.max(), 0.0))
-    bounds_viol = float(max(-x.min(), 0.0))
-    kkt = max(stationarity, primal, ineq, bounds_viol)
-    if polish:
-        polished = _polish_active_set(prob, z, mu)
-        if polished is not None and polished[0] < kkt:
-            kkt, z, lam, bound, nu = polished
-    return _BarrierResult(
-        z=z,
-        converged=bool(kkt <= cfg.newton_tol),
-        kkt_residual=kkt,
-        iterations=total,
-        stage_iterations=tuple(stage_iterations),
-        lam=lam,
-        bound_multipliers=bound,
-        eq_multiplier=nu,
-        barrier_mu=mu,
-        note=note,
-    )
-
-
-@dataclass(frozen=True)
-class NewtonProblem:
-    """Handle describing which smooth NLP the Newton phase should solve."""
-
-    scenarios: ScenarioSet
-    benchmark: DiscreteRandomVariable
-    order: float
-    risk_spec: RiskSpec | None = None
-
-
-def max_return_problem(scenarios: ScenarioSet, benchmark: DiscreteRandomVariable, order) -> NewtonProblem:
-    return NewtonProblem(scenarios, benchmark, order_value(order), None)
-
-
-def min_risk_problem(
-    scenarios: ScenarioSet, benchmark: DiscreteRandomVariable, order, spec: RiskSpec
-) -> NewtonProblem:
-    return NewtonProblem(scenarios, benchmark, order_value(order), spec)
+    def advance(self, d: "_Iterate", alpha: float) -> None:
+        """Move by alpha d, in place."""
+        for mine, step in zip(vars(self).values(), vars(d).values()):
+            mine += alpha * step
 
 
 @dataclass(frozen=True, eq=False)
-class NewtonDiagnostics:
+class _IPMResult:
+    """The returned iterate's y and how the solve ended."""
+
+    y: np.ndarray
     converged: bool
-    kkt_residual: float
     iterations: int
-    stage_iterations: tuple[int, ...]
-    barrier_mu: float
-    ineq_multipliers: np.ndarray
-    bound_multipliers: np.ndarray
-    eq_multiplier: float
-    note: str | None = None
+    message: str | None
 
 
-def _strict_interior(cuts: _DominanceCuts, x: np.ndarray, cfg: SolverConfig):
-    """Move x into the strict interior of the cut polytope, via phase 1 if needed."""
-    d = cuts.d
-    center = np.full(d, 1.0 / d)
-    for theta in (0.0, 1e-6, 1e-4, 1e-2):
-        cand = (1.0 - theta) * x + theta * center
-        cand = np.maximum(cand, 1e-14)
-        cand = cand / cand.sum()
-        if cand.min() > 0.0 and cuts.values(cand).max() < -_INTERIOR_MARGIN:
-            return cand, True
-    xp = np.maximum(x, 1e-9)
-    xp = xp / xp.sum()
-    worst = float(cuts.values(xp).max())
-    z0 = np.concatenate([xp, [worst + max(1.0, abs(worst))]])
-    res = _solve_barrier(
-        _Phase1Problem(cuts),
-        z0,
-        cfg,
-        stop_when=lambda z: float(cuts.values(z[:d]).max()) <= -10.0 * _INTERIOR_MARGIN,
-    )
-    xc = np.maximum(res.z[:d], 0.0)
-    xc = xc / xc.sum()
-    if xc.min() > 0.0 and float(cuts.values(xc).max()) < -_INTERIOR_MARGIN:
-        return xc, True
-    # no strict interior: the phase-1 point is still the best feasibility
-    # approximant available (boundary-only feasible sets are legitimate,
-    # e.g. a benchmark that is the unique dominating portfolio)
-    return xc, False
+def _residuals(model: _Model, it: _Iterate):
+    """Dense-row Jacobian and every residual of the KKT conditions at it."""
+    d, x, sc = model.d, it.y[: model.d], model.lift_scale
+    g, J = model.rows(it.y)
+    ry = model.cost + J.T @ it.lam
+    ry[:d] += it.nu
+    ry[model.bounded] -= it.zb
+    ry[:d] -= model.xi @ it.ll.sum(axis=0)
+    rs = np.outer(sc * it.lb, model.probs)
+    rs -= it.ll
+    rs -= it.zs
+    rl = np.subtract.outer(model.lift_t, x @ model.xi)
+    rl -= it.s
+    rl += it.wl
+    rb = sc * (it.s @ model.probs) - 1.0 + it.wb
+    return J, ry, rs, g + it.w, rl, rb, float(x.sum()) - 1.0
 
 
-def _max_loss_regime(s: ScenarioSet, spec: RiskSpec | None) -> bool:
-    """Whether the risk equals the largest scenario loss for every portfolio.
+def _direction(model: _Model, it: _Iterate, J, H, res, comp) -> _Iterate:
+    """Newton direction of the KKT conditions with complementarity residuals comp.
 
-    For q below the largest loss, ||(L - q)_+||_{r,p} >= p_j^(1/r) (max L - q)
-    with j the worst scenario, so phi does not increase below max L once every
-    p_j^(1/r) >= 1 - beta.
+    The lifted order-2 block is eliminated in closed form.  Each shortfall
+    s_tj couples its lift row, of inverse weight a = wl / ll, and its bound,
+    of inverse weight b = s / zs, in series: x.xi_j gets the weight
+    1 / (a + b), and each budget row, a diagonal block once the shortfalls
+    are gone, adds a rank-one term on x.  What remains is the quasi-definite
+    augmented system over (y, dense-row multipliers, nu).  The block's
+    arrays are updated in place, and none has a thresholds x scenarios x
+    assets shape.
     """
-    return (
-        spec is not None and spec.beta > 0.0
-        and float(s.scenario_probabilities.min()) ** (1.0 / spec.r) >= 1.0 - spec.beta
-    )
+    d, N, m = model.d, model.N, model.m
+    ry, rs, rp, rl, rb, re = res
+    cz, cw, czs, cwl, cwb = comp
+    B, yb = model.bounded, it.y[model.bounded]
+    p, sc, xi = model.probs, model.lift_scale, model.xi
+    a = it.wl / it.ll
+    kappa = it.s / it.zs
+    h = a + kappa
+    np.reciprocal(h, out=h)             # 1 / (a + b)
+    kappa *= h                          # b / (a + b)
+    hsum = h.sum(axis=0)
+    rho = cwl / it.ll
+    rho -= rl
+    rhs_x = np.einsum("tj,tj->j", h, rho)
+    del h
+    e = czs / it.s
+    e += rs
+    rhs_x -= np.einsum("tj,tj->j", kappa, e)
+    e *= a
+    e += rho                            # a (rs + czs / s) + rho
+    del rho
+    # budget rows: V dx - omega dlb = r3, eliminated into the x block
+    V = -sc[:, None] * (kappa @ (xi * p).T)
+    omega = it.wb / it.lb + sc * sc * np.einsum("tj,tj,j->t", a, kappa, p * p)
+    r3 = cwb / it.lb - rb + sc * np.einsum("tj,tj,j->t", kappa, e, p)
+    K = np.zeros((N + m + 1, N + m + 1))
+    K[:N, :N] = H
+    K[B, B] += it.zb / yb
+    K[:d, :d] += (xi * hsum) @ xi.T + (V.T / omega) @ V
+    K[:N, N : N + m] = J.T
+    K[N : N + m, :N] = J
+    K[N + np.arange(m), N + np.arange(m)] = -it.w / it.lam
+    K[:d, -1] = K[-1, :d] = 1.0
+    rhs = np.concatenate([-ry, cw / it.lam - rp, [-re]])
+    rhs[B] -= cz / yb
+    rhs[:d] += V.T @ (r3 / omega) - xi @ rhs_x
+    sol = np.linalg.solve(K, rhs)
+    del K
+    dy, dlam = sol[:N], sol[N : N + m]
+    dlb = (V @ dy[:d] - r3) / omega
+    dxi = dy[:d] @ xi
+    a *= p
+    a *= (sc * dlb)[:, None]
+    e += a
+    del a
+    e += dxi
+    e *= kappa
+    del kappa
+    ds = np.negative(e, out=e)          # -kappa (e + dxi + a p dlb / B)
+    dwl = ds + dxi
+    dwl -= rl
+    dzs = it.zs * ds
+    dzs += czs
+    dzs /= -it.s
+    dll = it.ll * dwl
+    dll += cwl
+    dll /= -it.wl
+    return _Iterate(dy, -(cz + it.zb * dy[B]) / yb, -rp - J @ dy, dlam, ds, dzs, dwl, dll,
+                    -rb - sc * (ds @ p), dlb, sol[-1:])
 
 
-def _build_inner_problem(problem: NewtonProblem, cuts: _DominanceCuts):
-    s, spec = problem.scenarios, problem.risk_spec
-    if spec is None:
-        return _LinearProblem(-s.mean_returns(), cuts)
-    if spec.beta == 0.0:
-        return _LinearProblem(spec.sign * s.mean_returns(), cuts)
-    if _max_loss_regime(s, spec):
-        # the largest loss is CVaR at tail mass min_j p_j: linear, with no empty-tail kink
-        spec = RiskSpec(1.0 - float(s.scenario_probabilities.min()), 1.0, spec.loss_sign)
-    return _RiskProblem(s, spec, cuts)
+def _max_step(pairs, dpairs) -> tuple[float, float]:
+    """Largest primal and dual steps in (0, 1] that keep every pair nonnegative."""
+
+    def ratio(v, dv):
+        neg = dv < 0.0
+        return float(np.min(-v[neg] / dv[neg], initial=1.0))
+
+    return (min(ratio(v, dv) for (v, _), (dv, _) in zip(pairs, dpairs)),
+            min(ratio(z, dz) for (_, z), (_, dz) in zip(pairs, dpairs)))
 
 
-def _inner_q(problem: NewtonProblem, x: np.ndarray) -> float:
-    """Minimizer over q of the risk functional at weights x."""
-    s, spec = problem.scenarios, problem.risk_spec
-    return minimize_phi(spec.losses(x @ s.returns), s.scenario_probabilities, spec.beta, spec.r).q_star
+def _mehrotra(model: _Model, it: _Iterate, J, res, pairs, floor: float) -> _Iterate:
+    """Predictor-corrector direction: the affine-scaling step sets the centering
+    target sigma mu, sigma = (mu_aff / mu)^3, floored per pair at floor / count,
+    and its second-order term corrects the complementarity residuals."""
+    count = sum(v.size for v, _ in pairs)
+    mu = sum(float(np.sum(v * z)) for v, z in pairs) / count
+    H = model.hess(it.y, it.lam)
+    with np.errstate(all="ignore"):
+        aff = _direction(model, it, J, H, res, [v * z for v, z in pairs])
+        dpairs = aff.pairs(model)
+        del aff
+        ap, ad = _max_step(pairs, dpairs)
+        mu_aff = sum(float(np.sum((v + ap * dv) * (z + ad * dz)))
+                     for (v, z), (dv, dz) in zip(pairs, dpairs)) / count
+        target = max(mu * (mu_aff / mu) ** 3, floor / count)
+        comp = [dv * dz for _, (dv, dz) in zip(pairs, dpairs)]
+        del dpairs
+        for c, (v, z) in zip(comp, pairs):
+            c += v * z
+            c -= target
+        return _direction(model, it, J, H, res, comp)
 
 
-def newton_refine(
-    problem: NewtonProblem,
-    start: PortfolioWeights,
-    thresholds,
-    cfg: SolverConfig | None = None,
-    q0: float | None = None,
-) -> tuple[PortfolioWeights, float | None, NewtonDiagnostics]:
-    """Solve the problem over the finite threshold cut set by barrier Newton.
+def _ipm(model: _Model, cfg: SolverConfig) -> _IPMResult:
+    """Mehrotra predictor-corrector interior-point solve of the model from model.start().
 
-    Returns the weights, the auxiliary risk parameter for min-risk
-    problems (None otherwise), and diagnostics carrying the final KKT
-    residual and multipliers.  The returned weights are clipped and
-    renormalized onto the simplex.
+    Converged means the primal residual, the dual residual and the duality
+    gap (the sum of the complementarity products) are each at most
+    newton_tol (1 + |objective|).  Otherwise the iterate with the smallest
+    of those relative residuals is returned with the stop reason.
     """
-    cfg = cfg or SolverConfig()
-    s, spec = problem.scenarios, problem.risk_spec
-    if start.d != s.d:
-        raise DimensionError(f"start has {start.d} weights but the scenario set has {s.d} assets")
-    cuts = _DominanceCuts(s, problem.benchmark, problem.order, thresholds)
-    inner = _build_inner_problem(problem, cuts)
-    x0, ok = _strict_interior(cuts, start.weights, cfg)
-    if not ok:
-        # boundary-only feasible set: return the phase-1 point, which
-        # approximates the (unique) feasible allocation when one exists
-        diag = NewtonDiagnostics(
-            converged=False,
-            kkt_residual=float("inf"),
-            iterations=0,
-            stage_iterations=(),
-            barrier_mu=BARRIER_MUS[0],
-            ineq_multipliers=np.zeros(inner.m),
-            bound_multipliers=np.zeros(s.d),
-            eq_multiplier=0.0,
-            note="no strictly interior point found for the cut set",
-        )
-        q_out = None if spec is None else (q0 if q0 is not None else _inner_q(problem, x0))
-        return PortfolioWeights(x0), q_out, diag
-    q_start = None
-    if isinstance(inner, _RiskProblem):
-        q_start = q0 if q0 is not None else _inner_q(problem, x0)
-    first, z0 = _first_stage(inner, x0, q_start)
-    res = _solve_barrier(inner, z0, cfg, first=first)
-    x = np.maximum(res.z[: s.d], 0.0)
-    x /= x.sum()
-    if spec is None:
-        q_out = None
-    elif isinstance(inner, _RiskProblem):
-        q_out = float(res.z[s.d])
-    else:
-        q_out = _inner_q(problem, x)
-    diag = NewtonDiagnostics(
-        converged=res.converged,
-        kkt_residual=res.kkt_residual,
-        iterations=res.iterations,
-        stage_iterations=res.stage_iterations,
-        barrier_mu=res.barrier_mu,
-        ineq_multipliers=res.lam,
-        bound_multipliers=res.bound_multipliers,
-        eq_multiplier=res.eq_multiplier,
-        note=res.note,
+    tol = cfg.newton_tol
+    it = model.start()
+    best = None
+    stop = "the iteration limit"
+    k = 0
+    while True:
+        J, *res = _residuals(model, it)
+        pairs = it.pairs(model)
+        gap = sum(float(np.sum(v * z)) for v, z in pairs)
+        scale = 1.0 + abs(float(model.cost @ it.y))
+        norms = (max(float(np.abs(r).max(initial=0.0)) for r in res[2:]),
+                 max(float(np.abs(r).max(initial=0.0)) for r in res[:2]), gap)
+        merit = max(norms) / scale
+        if not np.isfinite(merit):
+            stop = "a non-finite iterate"
+            break
+        if best is None or merit <= best[0]:
+            best = (merit, it.y.copy(), norms)
+        if merit <= tol or k == cfg.newton_max_iter:
+            break
+        try:
+            step = _mehrotra(model, it, J, res, pairs, 0.1 * tol * scale)
+        except np.linalg.LinAlgError:
+            stop = "a singular Newton system"
+            break
+        alpha = 0.995 * min(_max_step(pairs, step.pairs(model)))
+        # a step may leave the perspective row's feasible set only as far as
+        # ||u||_{r,p} <= 8 eta: further out, (u / eta)^r makes the row's
+        # linearization useless (its residual once grew 180-fold in one step)
+        for _ in range(60):
+            if model.near_cone(it.y + alpha * step.y):
+                break
+            alpha *= 0.5
+        it.advance(step, alpha)
+        del step
+        k += 1
+    merit, y, (primal, dual, gap) = best
+    converged = merit <= tol
+    message = None if converged else (
+        f"interior-point solve stopped at {stop} after {k} iterations: primal residual "
+        f"{primal:.3e}, dual residual {dual:.3e}, duality gap {gap:.3e}; relative residual "
+        f"{merit:.3e} above newton_tol {tol:g}"
     )
-    return PortfolioWeights(x), q_out, diag
+    return _IPMResult(y=y, converged=converged, iterations=k, message=message)
 
 
-def kkt_residual(
-    problem: NewtonProblem,
-    weights: PortfolioWeights,
-    thresholds,
-    diag: NewtonDiagnostics,
-    q: float | None = None,
-) -> float:
-    """Recompute the first-order optimality residual at a returned point.
+def newton_refine(s: ScenarioSet, benchmark, order, spec: RiskSpec | None, thresholds,
+                  cfg: SolverConfig | None = None):
+    """Solve one round's model over a finite threshold set from equal weights.
 
-    For the lifted risk problem the tail excess is rebuilt as (L - q)_+.
+    Returns the weights (clipped and renormalized onto the simplex), the
+    lifted q for a min-risk problem with beta > 0 (None otherwise), and
+    the interior-point result with `converged`, `iterations` and `message`.
     """
-    s = problem.scenarios
-    cuts = _DominanceCuts(s, problem.benchmark, problem.order, thresholds)
-    inner = _build_inner_problem(problem, cuts)
-    z = inner.lift(weights.weights, q)
-    grad = inner.obj_grad(z).copy()
-    g = inner.con_values(z)
-    grad += inner.con_jac(z).T @ diag.ineq_multipliers
-    grad[: s.d] -= diag.bound_multipliers
-    a = np.zeros(inner.n_vars)
-    a[: s.d] = 1.0
-    stationarity = float(np.abs(grad + diag.eq_multiplier * a).max())
-    primal = abs(float(weights.weights.sum()) - 1.0)
-    ineq = float(max(g.max(), 0.0))
-    return max(stationarity, primal, float(max(-weights.weights.min(), 0.0)), ineq)
+    model = _Model(s, benchmark, order, spec, thresholds)
+    res = _ipm(model, cfg or SolverConfig())
+    x = np.maximum(res.y[: s.d], 0.0)
+    return PortfolioWeights(x / x.sum()), (None if model.r is None else float(res.y[s.d])), res
 
 
 def optimize_max_return(
@@ -958,37 +616,22 @@ def _constraint_generation(s, benchmark, p, cfg, spec) -> SolveReport:
     if s.d == 1:
         return _single_asset_report(s, benchmark, p, spec, cfg)
 
-    problem = NewtonProblem(s, benchmark, p, spec)
     thresholds = [float(t) for t in np.unique(benchmark.outcomes)]
-    current = PortfolioWeights.equal(s.d)
-    q_prev: float | None = None
     newton_total = 0
     rounds = 0
     generated = 0
     least_gap = float("inf")
     while True:
         rounds += 1
-        refined, q_prev, diag = newton_refine(problem, current, thresholds, cfg, q0=q_prev)
-        newton_total += diag.iterations
+        refined, _, res = newton_refine(s, benchmark, p, spec, thresholds, cfg)
+        newton_total += res.iterations
         cert = verify(portfolio_return_variable(s, refined), benchmark, p, cfg.constraint_tol)
         gap = max(0.0, cert.worst_gap)
         least_gap = min(least_gap, gap)
         if gap <= cfg.constraint_tol:
-            if diag.converged:
-                message = None
-            elif _at_empty_tail(s, spec, refined):
-                message = (
-                    "the optimum sits at an empty tail (the risk equals the largest loss), "
-                    "where the r-norm has no gradient; the smooth KKT residual "
-                    f"{diag.kkt_residual:.3e} cannot reach newton_tol {cfg.newton_tol:g} there"
-                )
-            else:
-                message = diag.note or (
-                    f"KKT residual {diag.kkt_residual:.3e} above newton_tol {cfg.newton_tol:g}"
-                )
             return _success_report(
-                s, benchmark, p, spec, refined, diag.converged, cert, thresholds,
-                rounds, newton_total, message,
+                s, benchmark, p, spec, refined, res.converged, cert, thresholds,
+                rounds, newton_total, res.message,
             )
         t_new = float(cert.worst_t)
         if any(abs(t_new - t) <= 1e-9 * max(1.0, abs(t_new)) for t in thresholds):
@@ -999,7 +642,6 @@ def _constraint_generation(s, benchmark, p, cfg, spec) -> SolveReport:
             break
         thresholds.append(t_new)
         generated += 1
-        current = refined
 
     # budget exhausted or stalled: sweep simple candidates by the true objective
     def objective(w: PortfolioWeights) -> float:
@@ -1042,19 +684,6 @@ def _constraint_generation(s, benchmark, p, cfg, spec) -> SolveReport:
             f"within tolerance {cfg.constraint_tol:g}; least violated gap found: {least_gap:.6e}"
         ),
     )
-
-
-def _at_empty_tail(s, spec, w) -> bool:
-    """Whether the lifted risk of w at r > 1 sits at an empty tail (u = 0).
-
-    There the risk equals the largest loss, within 1e-9 max(1, |risk|).
-    Solves in the max-loss regime ran a linear problem, which has no such kink.
-    """
-    if spec is None or spec.beta == 0.0 or spec.r == 1.0 or _max_loss_regime(s, spec):
-        return False
-    port = portfolio_return_variable(s, w)
-    rho = higher_order_risk(port, spec).rho
-    return abs(rho - float(spec.losses(port.outcomes).max())) <= 1e-9 * max(1.0, abs(rho))
 
 
 def _active_thresholds(s, benchmark, p, w, thresholds, worst_t, activity_tol=1e-6):

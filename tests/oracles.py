@@ -238,36 +238,86 @@ def max_return_grid_search(returns: np.ndarray, scen_probs: np.ndarray,
     return float(means[i]), W[i]
 
 
-def cvar_order2_lp(returns: np.ndarray, scen_probs: np.ndarray, bench_out: np.ndarray,
-                   bench_pr: np.ndarray, beta: float) -> float:
-    """Least CVaR_beta of the portfolio loss under order-2 dominance, by LP.
+def risk_direct(losses, probabilities, beta: float, r: float) -> float:
+    """min over q of phi_direct, by golden-section search.
 
-    Rockafellar & Uryasev (2000): minimize q + sum_j p_j u_j / (1 - beta)
-    with u_j >= -x.xi_j - q and u_j >= 0.  Order-2 dominance is imposed
+    phi is convex in q, and for beta > 0 its minimizer lies in
+    [min L - 10 span - 1, max L], which the search shrinks to below 1e-12.
+    """
+    lo, hi = float(np.min(losses)), float(np.max(losses))
+    a, b = lo - 10.0 * (hi - lo) - 1.0, hi
+    invphi = (math.sqrt(5.0) - 1.0) / 2.0
+
+    def f(q):
+        return phi_direct(losses, probabilities, beta, r, q)
+
+    c, d = b - invphi * (b - a), a + invphi * (b - a)
+    fc, fd = f(c), f(d)
+    while b - a > 1e-12 * max(1.0, abs(a), abs(b)):
+        if fc < fd:
+            b, d, fd = d, c, fc
+            c = b - invphi * (b - a)
+            fc = f(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + invphi * (b - a)
+            fd = f(d)
+    return min(fc, fd, f(hi))
+
+
+def min_risk_grid_search(returns: np.ndarray, scen_probs: np.ndarray,
+                         bench_out: np.ndarray, bench_pr: np.ndarray, beta: float, r: float,
+                         tol: float = 1e-8, extra_candidates: np.ndarray | None = None):
+    """Order-2 min-risk search over the 2-asset simplex; losses are negated returns.
+
+    The feasible set is an interval of w1 and the risk is convex in the
+    weights, so a 1e-3 grid followed by a 1e-5 grid around its best
+    feasible point finds the optimum to about 1e-5 in w1.  Feasibility
+    comes from ``sd2_feasible_mask``, the risk from ``risk_direct``.
+    """
+    assert returns.shape[0] == 2
+
+    def best_of(w1):
+        W = np.column_stack([w1, 1.0 - w1])
+        if extra_candidates is not None:
+            W = np.vstack([W, np.atleast_2d(extra_candidates)])
+        ok = sd2_feasible_mask(W, returns, scen_probs, bench_out, bench_pr, tol)
+        risks = [risk_direct(-(w @ returns), scen_probs, beta, r) for w in W[ok]]
+        if not risks:
+            return None
+        i = int(np.argmin(risks))
+        return risks[i], W[ok][i]
+
+    coarse = best_of(np.linspace(0.0, 1.0, 1001))
+    if coarse is None:
+        return None
+    w1 = coarse[1][0]
+    fine = best_of(np.clip(np.linspace(w1 - 1e-3, w1 + 1e-3, 201), 0.0, 1.0))
+    return min(coarse, fine, key=lambda item: item[0])
+
+
+def _order2_lp(c: np.ndarray, rows: list, rhs: list, n_free: int, returns: np.ndarray,
+               scen_probs: np.ndarray, bench_out: np.ndarray, bench_pr: np.ndarray) -> float:
+    """Solve min c.v by HiGHS over v = (x, free variables, s) with order-2 dominance.
+
+    x (the first d entries) is on the simplex; the n_free variables after
+    it carry the caller's bounds in rows/rhs (they are left unbounded, the
+    caller's rows and c decide their sign).  Order-2 dominance is imposed
     by shortfall variables s_ij >= t_i - x.xi_j, s_ij >= 0 and
     sum_j p_j s_ij <= E[(t_i - B)_+] at the benchmark atoms t_i, which
     suffice at order 2 (Dentcheva & Ruszczynski, SIAM J. Optim. 2003).
-    Solved by HiGHS; skips the calling test when scipy is missing.
+    Skips the calling test when scipy is missing.
     """
     import pytest
 
     linprog = pytest.importorskip("scipy.optimize").linprog
     d, n = returns.shape
     ts = np.unique(bench_out)
-    T = ts.size
-    nv = d + 1 + n + T * n                 # x, q, u, s (row-major by threshold)
-    iq, iu, i_s = d, d + 1, d + 1 + n
-    c = np.zeros(nv)
-    c[iq] = 1.0
-    c[iu:i_s] = scen_probs / (1.0 - beta)
-    rows, rhs = [], []
-    for j in range(n):                     # -x.xi_j - q - u_j <= 0
-        row = np.zeros(nv)
-        row[:d] = -returns[:, j]
-        row[iq] = -1.0
-        row[iu + j] = -1.0
-        rows.append(row)
-        rhs.append(0.0)
+    i_s = d + n_free
+    nv = i_s + ts.size * n                 # s is row-major by threshold
+    c = np.concatenate([c, np.zeros(nv - c.size)])
+    rows = [np.concatenate([row, np.zeros(nv - row.size)]) for row in rows]
+    rhs = list(rhs)
     for i, t in enumerate(ts):
         for j in range(n):                 # t - x.xi_j - s_ij <= 0
             row = np.zeros(nv)
@@ -281,8 +331,38 @@ def cvar_order2_lp(returns: np.ndarray, scen_probs: np.ndarray, bench_out: np.nd
         rhs.append(lpm_direct(bench_out, bench_pr, float(t), 1.0))
     a_eq = np.zeros((1, nv))
     a_eq[0, :d] = 1.0
-    bounds = [(0.0, None)] * d + [(None, None)] + [(0.0, None)] * (n + T * n)
+    bounds = [(0.0, None)] * d + [(None, None)] * n_free + [(0.0, None)] * (nv - i_s)
     res = linprog(c, A_ub=np.array(rows), b_ub=np.array(rhs), A_eq=a_eq, b_eq=[1.0],
                   bounds=bounds, method="highs")
     assert res.status == 0, res.message
     return float(res.fun)
+
+
+def max_return_order2_lp(returns: np.ndarray, scen_probs: np.ndarray, bench_out: np.ndarray,
+                         bench_pr: np.ndarray) -> float:
+    """Largest expected return under order-2 dominance, by LP (HiGHS)."""
+    return -_order2_lp(-(returns @ scen_probs), [], [], 0, returns, scen_probs, bench_out, bench_pr)
+
+
+def cvar_order2_lp(returns: np.ndarray, scen_probs: np.ndarray, bench_out: np.ndarray,
+                   bench_pr: np.ndarray, beta: float) -> float:
+    """Least CVaR_beta of the portfolio loss under order-2 dominance, by LP (HiGHS).
+
+    Rockafellar & Uryasev (2000): minimize q + sum_j p_j u_j / (1 - beta)
+    with u_j >= -x.xi_j - q and u_j >= 0, over v = (x, q, u, s).
+    """
+    d, n = returns.shape
+    c = np.concatenate([np.zeros(d), [1.0], scen_probs / (1.0 - beta)])
+    rows, rhs = [], []
+    for j in range(n):                     # -x.xi_j - q - u_j <= 0
+        row = np.zeros(d + 1 + n)
+        row[:d] = -returns[:, j]
+        row[d] = -1.0
+        row[d + 1 + j] = -1.0
+        rows.append(row)
+        rhs.append(0.0)
+        row = np.zeros(d + 1 + n)          # -u_j <= 0
+        row[d + 1 + j] = -1.0
+        rows.append(row)
+        rhs.append(0.0)
+    return _order2_lp(c, rows, rhs, 1 + n, returns, scen_probs, bench_out, bench_pr)
