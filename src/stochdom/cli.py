@@ -2,8 +2,8 @@
 
 Exit codes: 0 success with dominance, 1 usage/domain error,
 2 infeasible or not dominant, 3 I/O error.  The SD_SEED environment
-variable overrides --seed when set; the seed only fills the JSON report's
-seed field, since solves are deterministic.
+variable overrides the solve commands' --seed when set; the seed only
+fills the JSON report's seed field, since solves are deterministic.
 """
 
 from __future__ import annotations
@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import dataclass
 
 from .dataio import load_scenarios, load_variable, load_weights
 from .dominance import DEFAULT_VERIFY_TOL, verify
@@ -36,28 +35,6 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.print_usage(sys.stderr)
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
-
-
-@dataclass(frozen=True)
-class RunManifest:
-    """Validated CLI-level parameters of one run."""
-
-    command: str
-    order: float
-    beta: float | None
-    r: float | None
-    benchmark_mode: str | None
-    tolerance: float
-    seed: int | None
-    plot_path: str | None
-    verbose: bool
-
-    def __post_init__(self) -> None:
-        if self.command not in ("verify", "max-return", "min-risk"):
-            raise DomainError(f"unknown command {self.command!r}")
-        has_risk = self.beta is not None or self.r is not None
-        if (self.command == "min-risk") != has_risk:
-            raise DomainError("beta and r must be given exactly for the min-risk command")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -113,68 +90,43 @@ def _resolve_seed(cli_seed: int) -> int:
         raise DomainError(f"SD_SEED must be an integer, got {env!r}") from None
 
 
-def _manifest(ns: argparse.Namespace) -> RunManifest:
-    if ns.command == "verify":
-        return RunManifest(
-            command="verify", order=ns.order, beta=None, r=None, benchmark_mode=None,
-            tolerance=ns.tol, seed=None, plot_path=None, verbose=ns.verbose,
-        )
-    if ns.benchmark_weights is not None:
-        mode = "weights-file"
-    elif ns.benchmark_series is not None:
-        mode = "series-file"
-    else:
-        mode = "equal-weights"
-    return RunManifest(
-        command=ns.command,
-        order=ns.order,
-        beta=getattr(ns, "beta", None),
-        r=getattr(ns, "r", None),
-        benchmark_mode=mode,
-        tolerance=ns.tol,
-        seed=_resolve_seed(ns.seed),
-        plot_path=ns.plot,
-        verbose=ns.verbose,
-    )
-
-
-def _cmd_verify(ns: argparse.Namespace, manifest: RunManifest) -> int:
+def _cmd_verify(ns: argparse.Namespace) -> int:
     y = load_variable(ns.y)
     x = load_variable(ns.x)
-    cert = verify(y, x, manifest.order, manifest.tolerance)
+    cert = verify(y, x, ns.order, ns.tol)
     text = emit_report(
-        cert, manifest.verbose, command="verify", order=manifest.order,
+        cert, ns.verbose, command="verify", order=ns.order,
         seed=None, json_path=ns.json,
     )
     sys.stdout.write(text)
     return EXIT_OK if cert.dominates else EXIT_NOT_DOMINANT
 
 
-def _cmd_solve(ns: argparse.Namespace, manifest: RunManifest) -> int:
+def _cmd_solve(ns: argparse.Namespace) -> int:
+    seed = _resolve_seed(ns.seed)
     s = load_scenarios(ns.data, prob_col=ns.prob_col)
-    if manifest.benchmark_mode == "weights-file":
+    if ns.benchmark_weights is not None:
         tau = PortfolioWeights(load_weights(ns.benchmark_weights, expected_d=s.d))
         benchmark = portfolio_return_variable(s, tau)
-    elif manifest.benchmark_mode == "series-file":
+    elif ns.benchmark_series is not None:
         benchmark = load_variable(ns.benchmark_series)
     else:
         benchmark = portfolio_return_variable(s, PortfolioWeights.equal(s.d))
-    cfg = SolverConfig(constraint_tol=manifest.tolerance)
-    if manifest.command == "min-risk":
-        spec = RiskSpec(manifest.beta, manifest.r)
-        result = optimize_min_risk(s, benchmark, manifest.order, spec, cfg)
+    cfg = SolverConfig(constraint_tol=ns.tol)
+    if ns.command == "min-risk":
+        result = optimize_min_risk(s, benchmark, ns.order, RiskSpec(ns.beta, ns.r), cfg)
     else:
-        result = optimize_max_return(s, benchmark, manifest.order, cfg)
+        result = optimize_max_return(s, benchmark, ns.order, cfg)
     text = emit_report(
-        result, manifest.verbose, command=manifest.command, order=manifest.order,
-        seed=manifest.seed, json_path=ns.json, asset_labels=s.asset_labels,
+        result, ns.verbose, command=ns.command, order=ns.order, seed=seed,
+        json_path=ns.json, asset_labels=s.asset_labels,
     )
     sys.stdout.write(text)
-    if manifest.plot_path is not None:
+    if ns.plot is not None:
         if result.infeasible:
             sys.stderr.write("sd: skipping plot: the run is infeasible\n")
         else:
-            emit_plot(result, manifest.plot_path, asset_labels=s.asset_labels)
+            emit_plot(result, ns.plot, asset_labels=s.asset_labels)
     return EXIT_NOT_DOMINANT if result.infeasible else EXIT_OK
 
 
@@ -185,10 +137,9 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        manifest = _manifest(ns)
         if ns.command == "verify":
-            return _cmd_verify(ns, manifest)
-        return _cmd_solve(ns, manifest)
+            return _cmd_verify(ns)
+        return _cmd_solve(ns)
     except OSError as exc:
         sys.stderr.write(f"sd: i/o error: {exc}\n")
         return EXIT_IO

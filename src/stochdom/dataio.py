@@ -74,11 +74,18 @@ def load_scenarios(path, prob_col: str | None = None) -> ScenarioSet:
 
 
 def dump_scenarios(s: ScenarioSet, path) -> None:
-    """Debug dump of a ScenarioSet; round-trips numeric cells through load_scenarios."""
+    """Debug dump of a ScenarioSet; round-trips numeric cells through load_scenarios.
+
+    Non-uniform scenario probabilities go into a trailing 'probability'
+    column; reload those with ``load_scenarios(path, prob_col="probability")``.
+    """
+    table, labels, p = s.returns, s.asset_labels, s.scenario_probabilities
+    if np.any(p != p[0]):
+        table, labels = np.vstack([table, p]), (*labels, "probability")
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(s.asset_labels) + "\n")
+        fh.write(",".join(labels) + "\n")
         for j in range(s.n):
-            fh.write(",".join(format(s.returns[i, j], ".17g") for i in range(s.d)) + "\n")
+            fh.write(",".join(format(v, ".17g") for v in table[:, j]) + "\n")
 
 
 def load_variable(path) -> DiscreteRandomVariable:

@@ -40,25 +40,24 @@ from .types import (
 )
 
 
+# Interior-point iterations of one round, and the bound on its certificate:
+# the primal residual, the dual residual and the duality gap, each relative
+# to 1 + |objective|.
+NEWTON_MAX_ITER = 100
+NEWTON_TOL = 1e-10
+# Thresholds constraint generation may add to the benchmark's atoms.
+MAX_GENERATED_CONSTRAINTS = 50
+
+
 @dataclass(frozen=True)
 class SolverConfig:
-    """Tuning knobs of the interior-point solve and the constraint-generation loop.
+    """constraint_tol is the dominance tolerance every returned portfolio is verified to."""
 
-    newton_max_iter caps the interior-point iterations of one round, and
-    newton_tol bounds its certificate: the primal residual, the dual
-    residual and the duality gap, each relative to 1 + |objective|.
-    """
-
-    newton_max_iter: int = 100
-    newton_tol: float = 1e-10
     constraint_tol: float = 1e-8
-    max_generated_constraints: int = 50
 
     def __post_init__(self) -> None:
-        if self.newton_max_iter < 1 or self.max_generated_constraints < 1:
-            raise DomainError("newton_max_iter and max_generated_constraints must be >= 1")
-        if self.newton_tol <= 0 or self.constraint_tol <= 0:
-            raise DomainError("tolerances must be > 0")
+        if not (np.isfinite(self.constraint_tol) and self.constraint_tol > 0):
+            raise DomainError(f"constraint_tol must be finite and > 0, got {self.constraint_tol!r}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -519,15 +518,16 @@ def _mehrotra(model: _Model, it: _Iterate, J, res, pairs, floor: float) -> _Iter
         return _direction(model, it, J, H, res, comp)
 
 
-def _ipm(model: _Model, cfg: SolverConfig) -> _IPMResult:
+def _ipm(model: _Model) -> _IPMResult:
     """Mehrotra predictor-corrector interior-point solve of the model from model.start().
 
     Converged means the primal residual, the dual residual and the duality
     gap (the sum of the complementarity products) are each at most
-    newton_tol (1 + |objective|).  Otherwise the iterate with the smallest
-    of those relative residuals is returned with the stop reason.
+    NEWTON_TOL (1 + |objective|).  Otherwise the iterate with the smallest
+    of those relative residuals is returned with the stop reason and the
+    residuals above the tolerance.
     """
-    tol = cfg.newton_tol
+    tol = NEWTON_TOL
     it = model.start()
     best = None
     stop = "the iteration limit"
@@ -544,8 +544,8 @@ def _ipm(model: _Model, cfg: SolverConfig) -> _IPMResult:
             stop = "a non-finite iterate"
             break
         if best is None or merit <= best[0]:
-            best = (merit, it.y.copy(), norms)
-        if merit <= tol or k == cfg.newton_max_iter:
+            best = (merit, it.y.copy(), norms, scale)
+        if merit <= tol or k == NEWTON_MAX_ITER:
             break
         try:
             step = _mehrotra(model, it, J, res, pairs, 0.1 * tol * scale)
@@ -563,18 +563,19 @@ def _ipm(model: _Model, cfg: SolverConfig) -> _IPMResult:
         it.advance(step, alpha)
         del step
         k += 1
-    merit, y, (primal, dual, gap) = best
+    merit, y, norms, scale = best
     converged = merit <= tol
+    names = ("primal residual", "dual residual", "duality gap")
     message = None if converged else (
-        f"interior-point solve stopped at {stop} after {k} iterations: primal residual "
-        f"{primal:.3e}, dual residual {dual:.3e}, duality gap {gap:.3e}; relative residual "
-        f"{merit:.3e} above newton_tol {tol:g}"
+        f"interior-point solve stopped at {stop} after {k} iterations with "
+        + ", ".join(name for name, v in zip(names, norms) if v / scale > tol)
+        + f" above NEWTON_TOL {tol:g} relative to 1 + |objective|: "
+        + ", ".join(f"{name} {v:.3e}" for name, v in zip(names, norms))
     )
     return _IPMResult(y=y, converged=converged, iterations=k, message=message)
 
 
-def newton_refine(s: ScenarioSet, benchmark, order, spec: RiskSpec | None, thresholds,
-                  cfg: SolverConfig | None = None):
+def newton_refine(s: ScenarioSet, benchmark, order, spec: RiskSpec | None, thresholds):
     """Solve one round's model over a finite threshold set from equal weights.
 
     Returns the weights (clipped and renormalized onto the simplex), the
@@ -582,7 +583,7 @@ def newton_refine(s: ScenarioSet, benchmark, order, spec: RiskSpec | None, thres
     the interior-point result with `converged`, `iterations` and `message`.
     """
     model = _Model(s, benchmark, order, spec, thresholds)
-    res = _ipm(model, cfg or SolverConfig())
+    res = _ipm(model)
     x = np.maximum(res.y[: s.d], 0.0)
     return PortfolioWeights(x / x.sum()), (None if model.r is None else float(res.y[s.d])), res
 
@@ -613,95 +614,80 @@ def _constraint_generation(s, benchmark, p, cfg, spec) -> SolveReport:
         raise DomainError(
             "the optimizer requires stochastic order >= 2; orders in [1, 2) are verification-only"
         )
-    if s.d == 1:
-        return _single_asset_report(s, benchmark, p, spec, cfg)
-
+    tol = cfg.constraint_tol
     thresholds = [float(t) for t in np.unique(benchmark.outcomes)]
-    newton_total = 0
-    rounds = 0
-    generated = 0
+    iterations = {"newton": 0, "constraint_rounds": 0}
     least_gap = float("inf")
-    while True:
-        rounds += 1
-        refined, _, res = newton_refine(s, benchmark, p, spec, thresholds, cfg)
-        newton_total += res.iterations
-        cert = verify(portfolio_return_variable(s, refined), benchmark, p, cfg.constraint_tol)
+    w = cert = stop = None
+    while s.d > 1:
+        iterations["constraint_rounds"] += 1
+        refined, _, res = newton_refine(s, benchmark, p, spec, thresholds)
+        iterations["newton"] += res.iterations
+        cert = verify(portfolio_return_variable(s, refined), benchmark, p, tol)
         gap = max(0.0, cert.worst_gap)
+        if gap <= tol:
+            w, converged, message = refined, res.converged, res.message
+            break
         least_gap = min(least_gap, gap)
-        if gap <= cfg.constraint_tol:
-            return _success_report(
-                s, benchmark, p, spec, refined, res.converged, cert, thresholds,
-                rounds, newton_total, res.message,
-            )
         t_new = float(cert.worst_t)
         if any(abs(t_new - t) <= 1e-9 * max(1.0, abs(t_new)) for t in thresholds):
             stop = f"the worst threshold t = {t_new:.10g} repeats a cut"
             break
-        if generated >= cfg.max_generated_constraints:
-            stop = f"{generated} generated thresholds reached max_generated_constraints"
+        if iterations["constraint_rounds"] > MAX_GENERATED_CONSTRAINTS:
+            stop = f"the budget of {MAX_GENERATED_CONSTRAINTS} generated thresholds ran out"
             break
         thresholds.append(t_new)
-        generated += 1
 
-    # budget exhausted or stalled: sweep simple candidates by the true objective
-    def objective(w: PortfolioWeights) -> float:
-        port = portfolio_return_variable(s, w)
-        return -mean(port) if spec is None else higher_order_risk(port, spec).rho
+    if w is None:
+        # one asset, or constraint generation stopped: sweep equal weights,
+        # then the vertices, by the true objective
+        vertices = np.eye(s.d) if s.d > 1 else ()    # one asset: equal weights are the vertex
+        best = None
+        for xc in [np.full(s.d, 1.0 / s.d), *vertices]:
+            x = PortfolioWeights(xc)
+            port = portfolio_return_variable(s, x)
+            c = verify(port, benchmark, p, tol)
+            gap = max(0.0, c.worst_gap)
+            if gap > tol:
+                least_gap = min(least_gap, gap)
+                continue
+            score = -mean(port) if spec is None else higher_order_risk(port, spec).rho
+            if best is None or score < best[0]:
+                best = (score, x, c)
+        if best is None:
+            converged, message = False, (
+                f"no allocation satisfies the stochastic dominance constraint at order {p:g} "
+                f"within tolerance {tol:g}; least violated gap found: {least_gap:.6e}"
+            )
+        else:
+            _, w, cert = best
+            converged = stop is None
+            message = None if converged else (
+                f"constraint generation stopped ({stop}); returned the best dominating "
+                "candidate of the fallback sweep"
+            )
+    return _report(s, benchmark, p, spec, w, cert, thresholds, iterations, converged, message)
 
-    candidates = [refined.weights, np.full(s.d, 1.0 / s.d), *np.eye(s.d)]
-    best = None
-    for xc in candidates:
-        w = PortfolioWeights(xc)
-        cert = verify(portfolio_return_variable(s, w), benchmark, p, cfg.constraint_tol)
-        gap = max(0.0, cert.worst_gap)
-        if gap > cfg.constraint_tol:
-            least_gap = min(least_gap, gap)
-            continue
-        score = objective(w)
-        if best is None or score < best[0]:
-            best = (score, w, cert)
-    if best is not None:
-        return _success_report(
-            s, benchmark, p, spec, best[1], False, best[2], thresholds, rounds, newton_total,
-            f"constraint generation stopped ({stop}); returned the best dominating "
-            "candidate of the fallback sweep",
+
+def _report(s, benchmark, p, spec, w, cert, thresholds, iterations, converged,
+            message) -> SolveReport:
+    """Report of the weights w with their certificate cert; w None means infeasible."""
+    if w is None:
+        return SolveReport(
+            weights=None, active_thresholds=(), q_star=None, objective_value=None,
+            expected_return=None, benchmark_return=mean(benchmark), risk_value=None,
+            simplex_residual=None, dominance_residual=None, converged=False,
+            iterations=iterations, infeasible=True, message=message,
         )
-    return SolveReport(
-        weights=None,
-        active_thresholds=(),
-        q_star=None,
-        objective_value=None,
-        expected_return=None,
-        benchmark_return=mean(benchmark),
-        risk_value=None,
-        simplex_residual=None,
-        dominance_residual=None,
-        converged=False,
-        iterations={"newton": newton_total, "constraint_rounds": rounds},
-        infeasible=True,
-        message=(
-            f"no allocation satisfies the stochastic dominance constraint at order {p:g} "
-            f"within tolerance {cfg.constraint_tol:g}; least violated gap found: {least_gap:.6e}"
-        ),
-    )
-
-
-def _active_thresholds(s, benchmark, p, w, thresholds, worst_t, activity_tol=1e-6):
     port = portfolio_return_variable(s, w)
+    # the worst threshold, then the thresholds whose gap is within 1e-6 of active, worst first
     ts = np.asarray(thresholds, dtype=float)
     gaps = _Shortfall(p - 1.0, port, benchmark)(ts)
-    order = np.argsort(-gaps, kind="stable")
-    active = [float(ts[i]) for i in order if gaps[i] >= -activity_tol]
-    out = [float(worst_t)]
-    for t in active:
-        if abs(t - worst_t) > 1e-12 * max(1.0, abs(t)):
-            out.append(t)
-    return tuple(out)
-
-
-def _success_report(s, benchmark, p, spec, w, converged, cert, thresholds, rounds, newton_total,
-                    message=None) -> SolveReport:
-    port = portfolio_return_variable(s, w)
+    active = [float(cert.worst_t)]
+    for i in np.argsort(-gaps, kind="stable"):
+        t = float(ts[i])
+        if gaps[i] >= -1e-6 and abs(t - cert.worst_t) > 1e-12 * max(1.0, abs(t)):
+            active.append(t)
     expected = mean(port)
     if spec is not None:
         rv = higher_order_risk(port, spec)
@@ -712,7 +698,7 @@ def _success_report(s, benchmark, p, spec, w, converged, cert, thresholds, round
         objective = expected
     return SolveReport(
         weights=w,
-        active_thresholds=_active_thresholds(s, benchmark, p, w, thresholds, cert.worst_t),
+        active_thresholds=tuple(active),
         q_star=q_star,
         objective_value=objective,
         expected_return=expected,
@@ -721,33 +707,7 @@ def _success_report(s, benchmark, p, spec, w, converged, cert, thresholds, round
         simplex_residual=w.simplex_residual(),
         dominance_residual=max(0.0, cert.worst_gap),
         converged=bool(converged),
-        iterations={"newton": newton_total, "constraint_rounds": rounds},
+        iterations=iterations,
         infeasible=False,
         message=message,
     )
-
-
-def _single_asset_report(s, benchmark, p, spec, cfg) -> SolveReport:
-    w = PortfolioWeights(np.ones(1))
-    cert = verify(portfolio_return_variable(s, w), benchmark, p, cfg.constraint_tol)
-    if max(0.0, cert.worst_gap) > cfg.constraint_tol:
-        return SolveReport(
-            weights=None,
-            active_thresholds=(),
-            q_star=None,
-            objective_value=None,
-            expected_return=None,
-            benchmark_return=mean(benchmark),
-            risk_value=None,
-            simplex_residual=None,
-            dominance_residual=None,
-            converged=False,
-            iterations={"newton": 0, "constraint_rounds": 0},
-            infeasible=True,
-            message=(
-                f"the single available asset does not dominate the benchmark at order {p:g}; "
-                f"gap {cert.worst_gap:.6e} at t = {cert.worst_t:.6g}"
-            ),
-        )
-    thresholds = [float(t) for t in np.unique(benchmark.outcomes)]
-    return _success_report(s, benchmark, p, spec, w, True, cert, thresholds, 0, 0)

@@ -87,17 +87,15 @@ def render_json(payload: dict) -> str:
     return _json_value(payload) + "\n"
 
 
-def render_text(report, *, order: float, verbose: bool = False,
-                asset_labels=None, names: tuple[str, str] = ("Y", "X")) -> str:
+def render_text(report, *, order: float, verbose: bool = False, asset_labels=None) -> str:
     """Human-readable report lines, mirroring the package's console output."""
     p = _fmt_order(order)
     lines: list[str] = []
     if isinstance(report, DominanceCertificate):
-        y, x = names
         if report.dominates:
-            lines.append(f"{y} dominates {x} in stochastic order {p}")
+            lines.append(f"Y dominates X in stochastic order {p}")
         else:
-            lines.append(f"{y} does not dominate {x} in stochastic order {p}")
+            lines.append(f"Y does not dominate X in stochastic order {p}")
         if verbose:
             lines.append(f"Worst threshold: t = {report.worst_t:.10g}")
             lines.append(f"Worst gap: {report.worst_gap:.10g} (tolerance {report.tolerance:g})")
@@ -140,10 +138,9 @@ def render_text(report, *, order: float, verbose: bool = False,
 
 
 def emit_report(report, verbose: bool = False, *, command: str, order: float,
-                seed: int | None = None, json_path=None, asset_labels=None,
-                names: tuple[str, str] = ("Y", "X")) -> str:
+                seed: int | None = None, json_path=None, asset_labels=None) -> str:
     """Render the report text and optionally write the JSON document."""
-    text = render_text(report, order=order, verbose=verbose, asset_labels=asset_labels, names=names)
+    text = render_text(report, order=order, verbose=verbose, asset_labels=asset_labels)
     if json_path is not None:
         payload = report_payload(report, command, order, seed)
         with open(json_path, "w", encoding="utf-8", newline="\n") as fh:

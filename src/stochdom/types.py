@@ -158,13 +158,12 @@ class ScenarioSet:
 class PortfolioWeights:
     """A point on the d-simplex (long-only, fully invested weights).
 
-    Entries within ``residual_tol`` below zero are clipped to exactly
+    Entries within ``WEIGHT_RESIDUAL_TOL`` below zero are clipped to exactly
     zero; the sum is checked against 1 but never silently renormalized,
     so residual reporting stays faithful to the stored vector.
     """
 
     weights: np.ndarray
-    residual_tol: float = WEIGHT_RESIDUAL_TOL
 
     def __post_init__(self) -> None:
         w = np.array(self.weights, dtype=float)
@@ -172,7 +171,7 @@ class PortfolioWeights:
             raise DimensionError("weights must be a non-empty 1-d sequence")
         if not np.all(np.isfinite(w)):
             raise DomainError("weights must be finite")
-        tol = float(self.residual_tol)
+        tol = WEIGHT_RESIDUAL_TOL
         if np.any(w < -tol):
             raise DomainError(f"negative weight beyond tolerance {tol}: {w.min()!r}")
         w = np.maximum(w, 0.0)
@@ -181,7 +180,6 @@ class PortfolioWeights:
             raise DomainError(f"weights sum to {total!r}; deviation from 1 exceeds {tol}")
         w.flags.writeable = False
         object.__setattr__(self, "weights", w)
-        object.__setattr__(self, "residual_tol", tol)
 
     @property
     def d(self) -> int:

@@ -5,6 +5,7 @@ import pytest
 
 from stochdom import (
     DomainError,
+    ScenarioSet,
     dump_scenarios,
     load_scenarios,
     load_variable,
@@ -76,6 +77,16 @@ class TestLoadScenarios:
         dump_scenarios(s, out)
         s2 = load_scenarios(out)
         assert np.abs(s.returns - s2.returns).max() <= 1e-12
+        assert s.asset_labels == s2.asset_labels
+
+    def test_round_trip_preserves_probabilities(self, tmp_path):
+        rng = np.random.default_rng(5)
+        s = ScenarioSet(rng.normal(0.1, 1.0, (3, 12)), rng.dirichlet(np.full(12, 0.5)))
+        out = tmp_path / "dump.csv"
+        dump_scenarios(s, out)
+        s2 = load_scenarios(out, prob_col="probability")
+        assert np.abs(s.scenario_probabilities - s2.scenario_probabilities).max() <= 1e-15
+        assert np.array_equal(s.returns, s2.returns)
         assert s.asset_labels == s2.asset_labels
 
 

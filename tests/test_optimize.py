@@ -93,19 +93,16 @@ class TestProjectToSimplex:
 class TestSolverConfig:
     def test_defaults(self):
         cfg = SolverConfig()
-        assert cfg.newton_max_iter == 100
-        assert cfg.newton_tol == 1e-10
         assert cfg.constraint_tol == 1e-8
-        assert cfg.max_generated_constraints == 50
-        assert set(cfg.__dataclass_fields__) == {
-            "newton_max_iter", "newton_tol", "constraint_tol", "max_generated_constraints",
-        }
+        assert set(cfg.__dataclass_fields__) == {"constraint_tol"}
+        assert optimize.NEWTON_MAX_ITER == 100
+        assert optimize.NEWTON_TOL == 1e-10
+        assert optimize.MAX_GENERATED_CONSTRAINTS == 50
 
     def test_validation(self):
-        with pytest.raises(DomainError):
-            SolverConfig(newton_max_iter=0)
-        with pytest.raises(DomainError):
-            SolverConfig(newton_tol=0.0)
+        for tol in (0.0, -1e-8, float("nan"), float("inf")):
+            with pytest.raises(DomainError):
+                SolverConfig(constraint_tol=tol)
 
 
 class TestPsoSearch:
@@ -161,7 +158,7 @@ class TestNewtonRefine:
         s = ScenarioSet(returns)
         bench = DiscreteRandomVariable([-10.0, -9.0], [0.5, 0.5])
         thresholds = [float(t) for t in bench.outcomes]
-        w, q, res = optimize.newton_refine(s, bench, 3.0, None, thresholds, SolverConfig())
+        w, q, res = optimize.newton_refine(s, bench, 3.0, None, thresholds)
         best = int(np.argmax(s.mean_returns()))
         expected = np.zeros(3)
         expected[best] = 1.0
@@ -169,14 +166,25 @@ class TestNewtonRefine:
         assert np.abs(w.weights - expected).max() <= 1e-8
         assert res.converged and res.message is None
 
-    def test_iteration_limit_names_the_stop(self, demo, demo_benchmark):
+    def test_iteration_limit_names_the_stop(self, demo, demo_benchmark, monkeypatch):
+        monkeypatch.setattr(optimize, "NEWTON_MAX_ITER", 2)
         thresholds = [float(t) for t in np.unique(demo_benchmark.outcomes)]
         spec = RiskSpec(0.5, 2.0)
-        _, q, res = optimize.newton_refine(demo, demo_benchmark, 4.7, spec, thresholds,
-                                           SolverConfig(newton_max_iter=2))
+        _, q, res = optimize.newton_refine(demo, demo_benchmark, 4.7, spec, thresholds)
         assert q is not None and res.iterations == 2
         assert not res.converged
-        assert "iteration limit" in res.message and "above newton_tol" in res.message
+        assert "iteration limit" in res.message and "above NEWTON_TOL" in res.message
+
+    def test_message_names_the_residuals_above_tolerance(self):
+        # the dominance-feasible set has no interior here, so multipliers need
+        # not exist: the primal residual and the duality gap certify, the dual
+        # residual stalls near 3.3e-6
+        s = ScenarioSet(sweep_instance(12))
+        bench = equal_weight_benchmark(s)
+        thresholds = [float(t) for t in np.unique(bench.outcomes)]
+        _, _, res = optimize.newton_refine(s, bench, 2.5, RiskSpec(0.2, 1.5), thresholds)
+        assert not res.converged
+        assert "with dual residual above NEWTON_TOL" in res.message
 
 
 class TestIndependentOracles:
@@ -239,6 +247,14 @@ class TestMaxReturnDriver:
         assert report.expected_return == pytest.approx(2.0, abs=1e-12)
         assert not report.infeasible
 
+    def test_single_asset_that_cannot_dominate_is_infeasible(self):
+        s = ScenarioSet(np.array([[1.0, 2.0, 3.0]]))
+        bench = DiscreteRandomVariable([5.0, 6.0], [0.5, 0.5])
+        report = optimize_max_return(s, bench, 2.0)
+        assert report.infeasible and not report.converged
+        assert report.weights is None
+        assert "least violated gap" in report.message
+
     def test_objective_below_unconstrained_max(self, demo, demo_benchmark):
         report = optimize_max_return(demo, demo_benchmark, 4.0, CFG)
         best_single = float(demo.mean_returns().max())
@@ -266,11 +282,11 @@ class TestMaxReturnDriver:
         assert report.objective_value is None
         assert "least violated gap" in report.message
 
-    def test_constraint_budget_respected(self):
+    def test_constraint_budget_respected(self, monkeypatch):
+        monkeypatch.setattr(optimize, "MAX_GENERATED_CONSTRAINTS", 3)
         s = ScenarioSet(np.array([[1.0, 2.0], [0.5, 1.5]]))
         bench = DiscreteRandomVariable([50.0, 51.0], [0.5, 0.5])
-        cfg = SolverConfig(max_generated_constraints=3)
-        report = optimize_max_return(s, bench, 2.0, cfg)
+        report = optimize_max_return(s, bench, 2.0, CFG)
         assert report.infeasible
 
     def test_budget_counts_only_generated_thresholds(self):
@@ -291,12 +307,13 @@ class TestMaxReturnDriver:
         order47 = optimize_max_return(s, bench, 4.7, CFG)
         assert order47.expected_return >= order2.expected_return - 1e-8
 
-    def test_unconverged_report_gives_reason(self, demo, demo_benchmark):
+    def test_unconverged_report_gives_reason(self, demo, demo_benchmark, monkeypatch):
         report = optimize_max_return(demo, demo_benchmark, 3.0, CFG)
         assert report.converged or report.message
-        starved = optimize_max_return(demo, demo_benchmark, 2.0, SolverConfig(newton_max_iter=1))
+        monkeypatch.setattr(optimize, "NEWTON_MAX_ITER", 1)
+        starved = optimize_max_return(demo, demo_benchmark, 2.0, CFG)
         assert not starved.converged and not starved.infeasible
-        assert "above newton_tol" in starved.message
+        assert "above NEWTON_TOL" in starved.message
         text = render_text(starved, order=2.0, verbose=True)
         assert f"Reason: {starved.message}" in text
 
@@ -352,6 +369,16 @@ class TestMinRiskDriver:
         assert oracle == pytest.approx(lp_value, abs=1e-6)
         report = optimize_min_risk(demo, demo_benchmark, 2.0, RiskSpec(beta, 1.0), CFG)
         assert report.risk_value == pytest.approx(oracle, abs=1e-6)
+
+    def test_single_asset_min_risk_converges_without_message(self):
+        s = ScenarioSet(np.array([[1.0, -2.0, 3.0, 0.5]]))
+        bench = DiscreteRandomVariable([-3.0, 0.0, 1.0], [0.3, 0.4, 0.3])
+        spec = RiskSpec(0.5, 2.0)
+        report = optimize_min_risk(s, bench, 3.0, spec)
+        assert report.converged and report.message is None and not report.infeasible
+        assert report.iterations == {"newton": 0, "constraint_rounds": 0}
+        rv = higher_order_risk(portfolio_return_variable(s, report.weights), spec)
+        assert report.risk_value == rv.rho
 
     def test_requires_risk_spec(self, demo, demo_benchmark):
         with pytest.raises(DomainError):

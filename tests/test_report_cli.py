@@ -173,6 +173,13 @@ class TestCliVerify:
         code = main(["verify", "--y", str(missing), "--x", str(missing), "--order", "2"])
         assert code == EXIT_IO
 
+    def test_sd_seed_is_ignored(self, golden_files, monkeypatch):
+        # verify records no seed, so a malformed SD_SEED does not change its exit
+        monkeypatch.setenv("SD_SEED", "x")
+        y, x = golden_files
+        assert main(["verify", "--y", str(y), "--x", str(x), "--order", "2"]) == EXIT_OK
+        assert main(["verify", "--y", str(x), "--x", str(y), "--order", "2"]) == EXIT_NOT_DOMINANT
+
     def test_verbose_adds_details(self, golden_files, capsys):
         y, x = golden_files
         main(["verify", "--y", str(y), "--x", str(x), "--order", "2", "--verbose"])
@@ -236,6 +243,19 @@ class TestCliSolve:
         assert code == EXIT_NOT_DOMINANT
         assert "No allocation satisfies" in out
 
+    def test_single_asset_infeasible_exit(self, tmp_path, capsys):
+        data = tmp_path / "one.csv"
+        data.write_text("A\n1.0\n2.0\n3.0\n", encoding="utf-8")
+        series = tmp_path / "bench.csv"
+        series.write_text("outcome\n5.0\n6.0\n", encoding="utf-8")
+        code = main([
+            "max-return", "--data", str(data), "--order", "2",
+            "--benchmark-series", str(series),
+        ])
+        out = capsys.readouterr().out
+        assert code == EXIT_NOT_DOMINANT
+        assert "least violated gap" in out
+
     def test_benchmark_weights_file(self, data_csv, tmp_path):
         wfile = tmp_path / "w.csv"
         wfile.write_text("w\n0.2\n0.2\n0.2\n0.2\n0.2\n", encoding="utf-8")
@@ -260,6 +280,12 @@ class TestCliSolve:
         assert code == EXIT_OK
         payload = json.loads(out.read_text(encoding="utf-8"))
         assert payload["seed"] == 7
+
+    def test_malformed_sd_seed_is_usage_error(self, data_csv, monkeypatch, capsys):
+        monkeypatch.setenv("SD_SEED", "x")
+        code = main(["max-return", "--data", str(data_csv), "--order", "3"])
+        assert code == EXIT_USAGE
+        assert "SD_SEED must be an integer" in capsys.readouterr().err
 
     def test_plot_written(self, data_csv, tmp_path):
         svg = tmp_path / "alloc.svg"
