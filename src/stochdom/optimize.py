@@ -1,22 +1,27 @@
 """Dominance-constrained portfolio optimizers.
 
 Both optimizers share one deterministic pipeline.  Each round builds one
-smooth convex model over a finite set of thresholds (plus the mean
+convex model over a finite set of dominance cuts (plus the mean
 condition) and solves it by an infeasible-start primal-dual interior-point
 method with Mehrotra predictor-corrector steps, started from equal
 weights; its primal and dual residuals and duality gap certify the
-optimum.  A constraint-generation loop adds the worst violated threshold
-from a full verification pass until dominance is certified.
+optimum.  A constraint-generation loop adds cuts violated by the round's
+weights until a full verification pass certifies dominance.
 
-The model is smooth in every case.  At order 2 the piecewise-linear cuts
-E[(t - x.xi)_+] <= E[(t - B)_+] are lifted to linear rows over shortfall
-variables s_tj >= t - x.xi_j, s_tj >= 0 (Dentcheva & Ruszczynski, SIAM J.
-Optim. 2003); higher orders keep the smooth cuts in x.  The min-risk
-objective is lifted over (x, q, u) with tail-excess rows u_j >= L_j(x) - q
-and u_j >= 0: at r = 1 it is q + p.u / (1 - beta) (Rockafellar & Uryasev,
-2000), and at r > 1 it is q + eta / (1 - beta) with eta >= ||u||_{r,p}
-written as the perspective row sum_j p_j u_j^r eta^(1 - r) <= eta
-(Krokhmal, Quant. Finance 2007), which stays smooth at an empty tail.
+Every dominance cut is a row in the weights x.  Above order 2 a cut is
+the smooth moment bound E[(t - x.xi)_+^k] <= E[(t - B)_+^k] at a
+threshold t, and the loop adds the worst violated threshold.  At order 2
+dominance holds iff it holds at the benchmark atoms, and
+E[(t - x.xi)_+] is the largest of the linear sums
+sum_{j in J} p_j (t - x.xi_j) over scenario subsets J (Rudolf &
+Ruszczynski, SIAM J. Optim. 2008), so the loop adds linear subset cuts
+(t, J) with J = {j : x.xi_j < t} at the most violated atoms.  The
+min-risk objective is lifted over (x, q, u) with tail-excess rows
+u_j >= L_j(x) - q and u_j >= 0: at r = 1 it is q + p.u / (1 - beta)
+(Rockafellar & Uryasev, 2000), and at r > 1 it is q + eta / (1 - beta)
+with eta >= ||u||_{r,p} written as the perspective row
+sum_j p_j u_j^r eta^(1 - r) <= eta (Krokhmal, Quant. Finance 2007),
+which stays smooth at an empty tail.
 """
 
 from __future__ import annotations
@@ -45,8 +50,12 @@ from .types import (
 # to 1 + |objective|.
 NEWTON_MAX_ITER = 100
 NEWTON_TOL = 1e-10
-# Thresholds constraint generation may add to the benchmark's atoms.
+# Constraint-generation rounds that may add cuts; one more round then solves
+# with them.  A round adds one threshold above order 2, and up to
+# SUBSET_CUTS_PER_ROUND subset cuts at order 2.
 MAX_GENERATED_CONSTRAINTS = 50
+# Order-2 subset cuts a round adds, at the most violated benchmark atoms.
+SUBSET_CUTS_PER_ROUND = 10
 
 
 @dataclass(frozen=True)
@@ -172,13 +181,14 @@ def pso_search(objective, penalty, dim: int, cfg: SwarmConfig | None = None) -> 
 
 
 class _DominanceCuts:
-    """Finite family of dominance constraints over thresholds, in x.
+    """Finite family of dominance constraints in x.
 
-    Each smooth cut is scaled by its benchmark moment,
-    E[(t - x.xi)_+^k] / E[(t - benchmark)_+^k] - 1 <= 0, so that cuts
-    whose moments differ by orders of magnitude share one scale.  At
-    order 2 (k = 1) these cuts are piecewise linear; the model lifts
-    them, and the rows here omit them.
+    Each cut is scaled by its benchmark moment so that cuts whose moments
+    differ by orders of magnitude share one scale.  Above order 2 there is
+    one smooth cut per threshold, E[(t - x.xi)_+^k] / E[(t - B)_+^k] - 1
+    <= 0.  At order 2 (k = 1) there is one linear row per subset cut
+    (t, J), sum_{j in J} p_j (t - x.xi_j) / E[(t - B)_+] - 1 <= 0, with a
+    constant Jacobian row and no curvature.
 
     Thresholds at which the benchmark shortfall moment vanishes admit no
     strict sublevel interior (the portfolio moment is nonnegative), so
@@ -188,7 +198,8 @@ class _DominanceCuts:
     dominance at any order p >= 2 requires.
     """
 
-    def __init__(self, scenarios: ScenarioSet, benchmark: DiscreteRandomVariable, order, thresholds):
+    def __init__(self, scenarios: ScenarioSet, benchmark: DiscreteRandomVariable, order, thresholds,
+                 subsets=()):
         self.xi = scenarios.returns
         self.p = scenarios.scenario_probabilities
         self.mr = scenarios.mean_returns()
@@ -199,22 +210,29 @@ class _DominanceCuts:
             raise DomainError("threshold set must be nonempty")
         bench = _Shortfall(self.k, benchmark)(ts)
         smooth = bench > 0.0
-        self.ts = ts[smooth]
-        self.bench = bench[smooth]
+        smooth_cut = smooth & (self.k != 1.0)     # order 2 cuts these thresholds by subsets
+        self.ts = ts[smooth_cut]
+        self.bench = bench[smooth_cut]
         self.floor_t = float(ts[~smooth].max()) if bool((~smooth).any()) else None
         self.d, self.n = self.xi.shape
-        self.x_ts = self.ts[:0] if self.k == 1.0 else self.ts    # thresholds cut in x
+        # subset cut (t, J) as the row lin0 + lin.x
+        sub_t = np.array([t for t, _ in subsets], dtype=float)
+        pj = np.array([J for _, J in subsets], dtype=bool).reshape(sub_t.size, self.n) * self.p
+        scale = 1.0 / _Shortfall(1.0, benchmark)(sub_t)
+        self.lin = -(pj @ self.xi.T) * scale[:, None]
+        self.lin0 = sub_t * pj.sum(axis=1) * scale - 1.0
 
     @property
     def m(self) -> int:
-        return self.x_ts.size + (self.n if self.floor_t is not None else 0) + 1
+        return self.ts.size + self.lin0.size + (self.n if self.floor_t is not None else 0) + 1
 
     def values(self, x: np.ndarray) -> np.ndarray:
         out = x @ self.xi
         parts = []
-        if self.x_ts.size:
+        if self.ts.size:
             diff = np.maximum(self.ts[:, None] - out[None, :], 0.0)
             parts.append((diff**self.k) @ self.p / self.bench - 1.0)
+        parts.append(self.lin0 + self.lin @ x)
         if self.floor_t is not None:
             parts.append(self.floor_t - out)
         parts.append([self.bench_mean - float(self.mr @ x)])
@@ -223,18 +241,19 @@ class _DominanceCuts:
     def jac(self, x: np.ndarray) -> np.ndarray:
         out = x @ self.xi
         parts = []
-        if self.x_ts.size:
+        if self.ts.size:
             raw = np.maximum(self.ts[:, None] - out[None, :], 0.0)
             w = self.k * raw ** (self.k - 1.0)
             parts.append(-((w * self.p[None, :]) @ self.xi.T) / self.bench[:, None])
+        parts.append(self.lin)
         if self.floor_t is not None:
             parts.append(-self.xi.T)
         parts.append(-self.mr[None, :])
         return np.vstack(parts)
 
     def hess(self, x: np.ndarray, lam: np.ndarray) -> np.ndarray:
-        """Multiplier-weighted sum of cut Hessians (floor and mean rows are linear)."""
-        if not self.x_ts.size:
+        """Multiplier-weighted sum of cut Hessians (subset, floor and mean rows are linear)."""
+        if not self.ts.size:
             return np.zeros((self.d, self.d))
         lam_s = lam[: self.ts.size] / self.bench
         raw = self.ts[:, None] - (x @ self.xi)[None, :]
@@ -254,25 +273,23 @@ class _DominanceCuts:
 class _Model:
     """One round's smooth convex model.
 
-    Variables y = (x), (x, q, u) at r = 1, or (x, q, u, eta) at r > 1,
-    and, at order 2, shortfall variables s (thresholds x scenarios).
+    Variables y = (x), (x, q, u) at r = 1, or (x, q, u, eta) at r > 1.
 
     - The objective cost.y is linear: -E[x.xi] for max-return, the
       expected loss at beta = 0, q + c p.u at r = 1 and q + c eta at r > 1,
       with c = 1 / (1 - beta).
-    - Bounds x, u, eta, s >= 0 and the simplex row sum(x) = 1.
-    - Dense rows g(y) <= 0: the x-space cuts, then for a risk objective
-      L_j(x) - q - u_j <= 0 and, at r > 1, the perspective row
-      sum_j p_j u_j^r eta^(1 - r) - eta <= 0, that is eta >= ||u||_{r,p}.
-      At an optimum u = (L - q)_+ and eta = ||u||_{r,p}, so the objective
-      is phi(q) of the risk measure.
-    - Lifted order-2 rows, one block per smooth threshold t:
-      t - x.xi_j - s_tj <= 0 and sum_j p_j s_tj / E[(t - B)_+] - 1 <= 0.
+    - Bounds x, u, eta >= 0 and the simplex row sum(x) = 1.
+    - Dense rows g(y) <= 0: the cuts in x (smooth or subset cuts, floor
+      rows, the mean row), then for a risk objective L_j(x) - q - u_j <= 0
+      and, at r > 1, the perspective row sum_j p_j u_j^r eta^(1 - r) - eta
+      <= 0, that is eta >= ||u||_{r,p}.  At an optimum u = (L - q)_+ and
+      eta = ||u||_{r,p}, so the objective is phi(q) of the risk measure.
     """
 
-    def __init__(self, s: ScenarioSet, benchmark, order, spec: RiskSpec | None, thresholds):
-        self.cuts = cuts = _DominanceCuts(s, benchmark, order, thresholds)
-        self.xi, self.probs = s.returns, s.scenario_probabilities
+    def __init__(self, s: ScenarioSet, benchmark, order, spec: RiskSpec | None, thresholds,
+                 subsets=()):
+        self.cuts = cuts = _DominanceCuts(s, benchmark, order, thresholds, subsets)
+        self.probs = s.scenario_probabilities
         self.d, self.n = d, n = s.d, s.n
         if spec is None or spec.beta == 0.0:
             # max-return, or the expected loss, which is the risk at beta = 0 for every r
@@ -287,9 +304,6 @@ class _Model:
             self.cost = np.concatenate([np.zeros(d), [1.0], *tail])
         self.N = N = self.cost.size
         self.bounded = np.r_[0:d, d + 1 : N]
-        lifted = cuts.k == 1.0
-        self.lift_t = cuts.ts if lifted else cuts.ts[:0]
-        self.lift_scale = 1.0 / cuts.bench if lifted else cuts.ts[:0]
         self.m = cuts.m + (0 if self.r is None else n + (self.r > 1.0))
 
     def rows(self, y: np.ndarray):
@@ -337,7 +351,7 @@ class _Model:
 
     def start(self) -> "_Iterate":
         """Equal weights; every other primal value, slack and multiplier at least 1."""
-        d, n = self.d, self.n
+        d = self.d
         x = np.full(d, 1.0 / d)
         y = x
         if self.r is not None:
@@ -346,36 +360,24 @@ class _Model:
             if self.r > 1.0:
                 y = np.append(y, float(self.probs @ u**self.r) ** (1.0 / self.r) + 1.0)
         g, _ = self.rows(y)
-        e = self.lift_t[:, None] - (x @ self.xi)[None, :]
-        s = np.maximum(e, 0.0) + 1.0
-        wb = np.maximum(1.0 - self.lift_scale * (s @ self.probs), 1.0)
-        T = self.lift_t.size
         return _Iterate(y, np.ones(self.bounded.size), np.maximum(-g, 1.0), np.ones(g.size),
-                        s, np.ones((T, n)), s - e, np.ones((T, n)), wb, np.ones(T), np.zeros(1))
+                        np.zeros(1))
 
 
 @dataclass(eq=False)
 class _Iterate:
     """Primal-dual point: y with bound duals zb, dense-row slacks w and multipliers lam,
-    shortfalls s with bound duals zs, lift-row slacks wl and multipliers ll,
-    budget-row slacks wb and multipliers lb, and the simplex multiplier nu."""
+    and the simplex multiplier nu."""
 
     y: np.ndarray
     zb: np.ndarray
     w: np.ndarray
     lam: np.ndarray
-    s: np.ndarray
-    zs: np.ndarray
-    wl: np.ndarray
-    ll: np.ndarray
-    wb: np.ndarray
-    lb: np.ndarray
     nu: np.ndarray
 
     def pairs(self, model):
         """(primal, dual) complementarity pairs."""
-        return [(self.y[model.bounded], self.zb), (self.w, self.lam), (self.s, self.zs),
-                (self.wl, self.ll), (self.wb, self.lb)]
+        return [(self.y[model.bounded], self.zb), (self.w, self.lam)]
 
     def advance(self, d: "_Iterate", alpha: float) -> None:
         """Move by alpha d, in place."""
@@ -394,94 +396,38 @@ class _IPMResult:
 
 
 def _residuals(model: _Model, it: _Iterate):
-    """Dense-row Jacobian and every residual of the KKT conditions at it."""
-    d, x, sc = model.d, it.y[: model.d], model.lift_scale
+    """Dense-row Jacobian and every residual of the KKT conditions at it:
+    the dual residual, then the primal residuals of the dense rows and the simplex row."""
     g, J = model.rows(it.y)
     ry = model.cost + J.T @ it.lam
-    ry[:d] += it.nu
+    ry[: model.d] += it.nu
     ry[model.bounded] -= it.zb
-    ry[:d] -= model.xi @ it.ll.sum(axis=0)
-    rs = np.outer(sc * it.lb, model.probs)
-    rs -= it.ll
-    rs -= it.zs
-    rl = np.subtract.outer(model.lift_t, x @ model.xi)
-    rl -= it.s
-    rl += it.wl
-    rb = sc * (it.s @ model.probs) - 1.0 + it.wb
-    return J, ry, rs, g + it.w, rl, rb, float(x.sum()) - 1.0
+    return J, ry, g + it.w, float(it.y[: model.d].sum()) - 1.0
 
 
 def _direction(model: _Model, it: _Iterate, J, H, res, comp) -> _Iterate:
     """Newton direction of the KKT conditions with complementarity residuals comp.
 
-    The lifted order-2 block is eliminated in closed form.  Each shortfall
-    s_tj couples its lift row, of inverse weight a = wl / ll, and its bound,
-    of inverse weight b = s / zs, in series: x.xi_j gets the weight
-    1 / (a + b), and each budget row, a diagonal block once the shortfalls
-    are gone, adds a rank-one term on x.  What remains is the quasi-definite
-    augmented system over (y, dense-row multipliers, nu).  The block's
-    arrays are updated in place, and none has a thresholds x scenarios x
-    assets shape.
+    The bound and dense-row complementarity equations are eliminated into
+    their diagonal scalings, which leaves the quasi-definite augmented
+    system over (y, dense-row multipliers, nu).
     """
     d, N, m = model.d, model.N, model.m
-    ry, rs, rp, rl, rb, re = res
-    cz, cw, czs, cwl, cwb = comp
+    ry, rp, re = res
+    cz, cw = comp
     B, yb = model.bounded, it.y[model.bounded]
-    p, sc, xi = model.probs, model.lift_scale, model.xi
-    a = it.wl / it.ll
-    kappa = it.s / it.zs
-    h = a + kappa
-    np.reciprocal(h, out=h)             # 1 / (a + b)
-    kappa *= h                          # b / (a + b)
-    hsum = h.sum(axis=0)
-    rho = cwl / it.ll
-    rho -= rl
-    rhs_x = np.einsum("tj,tj->j", h, rho)
-    del h
-    e = czs / it.s
-    e += rs
-    rhs_x -= np.einsum("tj,tj->j", kappa, e)
-    e *= a
-    e += rho                            # a (rs + czs / s) + rho
-    del rho
-    # budget rows: V dx - omega dlb = r3, eliminated into the x block
-    V = -sc[:, None] * (kappa @ (xi * p).T)
-    omega = it.wb / it.lb + sc * sc * np.einsum("tj,tj,j->t", a, kappa, p * p)
-    r3 = cwb / it.lb - rb + sc * np.einsum("tj,tj,j->t", kappa, e, p)
     K = np.zeros((N + m + 1, N + m + 1))
     K[:N, :N] = H
     K[B, B] += it.zb / yb
-    K[:d, :d] += (xi * hsum) @ xi.T + (V.T / omega) @ V
     K[:N, N : N + m] = J.T
     K[N : N + m, :N] = J
     K[N + np.arange(m), N + np.arange(m)] = -it.w / it.lam
     K[:d, -1] = K[-1, :d] = 1.0
     rhs = np.concatenate([-ry, cw / it.lam - rp, [-re]])
     rhs[B] -= cz / yb
-    rhs[:d] += V.T @ (r3 / omega) - xi @ rhs_x
     sol = np.linalg.solve(K, rhs)
-    del K
-    dy, dlam = sol[:N], sol[N : N + m]
-    dlb = (V @ dy[:d] - r3) / omega
-    dxi = dy[:d] @ xi
-    a *= p
-    a *= (sc * dlb)[:, None]
-    e += a
-    del a
-    e += dxi
-    e *= kappa
-    del kappa
-    ds = np.negative(e, out=e)          # -kappa (e + dxi + a p dlb / B)
-    dwl = ds + dxi
-    dwl -= rl
-    dzs = it.zs * ds
-    dzs += czs
-    dzs /= -it.s
-    dll = it.ll * dwl
-    dll += cwl
-    dll /= -it.wl
-    return _Iterate(dy, -(cz + it.zb * dy[B]) / yb, -rp - J @ dy, dlam, ds, dzs, dwl, dll,
-                    -rb - sc * (ds @ p), dlb, sol[-1:])
+    dy = sol[:N]
+    return _Iterate(dy, -(cz + it.zb * dy[B]) / yb, -rp - J @ dy, sol[N : N + m], sol[-1:])
 
 
 def _max_step(pairs, dpairs) -> tuple[float, float]:
@@ -537,8 +483,8 @@ def _ipm(model: _Model) -> _IPMResult:
         pairs = it.pairs(model)
         gap = sum(float(np.sum(v * z)) for v, z in pairs)
         scale = 1.0 + abs(float(model.cost @ it.y))
-        norms = (max(float(np.abs(r).max(initial=0.0)) for r in res[2:]),
-                 max(float(np.abs(r).max(initial=0.0)) for r in res[:2]), gap)
+        norms = (max(float(np.abs(r).max(initial=0.0)) for r in res[1:]),
+                 float(np.abs(res[0]).max(initial=0.0)), gap)
         merit = max(norms) / scale
         if not np.isfinite(merit):
             stop = "a non-finite iterate"
@@ -575,14 +521,18 @@ def _ipm(model: _Model) -> _IPMResult:
     return _IPMResult(y=y, converged=converged, iterations=k, message=message)
 
 
-def newton_refine(s: ScenarioSet, benchmark, order, spec: RiskSpec | None, thresholds):
+def newton_refine(s: ScenarioSet, benchmark, order, spec: RiskSpec | None, thresholds,
+                  subsets=()):
     """Solve one round's model over a finite threshold set from equal weights.
 
-    Returns the weights (clipped and renormalized onto the simplex), the
-    lifted q for a min-risk problem with beta > 0 (None otherwise), and
-    the interior-point result with `converged`, `iterations` and `message`.
+    At order 2 the thresholds give only the floor rows, and the cuts are
+    the subset cuts (t, J) in subsets, J a boolean mask over the
+    scenarios.  Returns the weights (clipped and renormalized onto the
+    simplex), the lifted q for a min-risk problem with beta > 0 (None
+    otherwise), and the interior-point result with `converged`,
+    `iterations` and `message`.
     """
-    model = _Model(s, benchmark, order, spec, thresholds)
+    model = _Model(s, benchmark, order, spec, thresholds, subsets)
     res = _ipm(model)
     x = np.maximum(res.y[: s.d], 0.0)
     return PortfolioWeights(x / x.sum()), (None if model.r is None else float(res.y[s.d])), res
@@ -616,27 +566,35 @@ def _constraint_generation(s, benchmark, p, cfg, spec) -> SolveReport:
         )
     tol = cfg.constraint_tol
     thresholds = [float(t) for t in np.unique(benchmark.outcomes)]
+    subsets = []
     iterations = {"newton": 0, "constraint_rounds": 0}
     least_gap = float("inf")
     w = cert = stop = None
     while s.d > 1:
         iterations["constraint_rounds"] += 1
-        refined, _, res = newton_refine(s, benchmark, p, spec, thresholds)
+        refined, _, res = newton_refine(s, benchmark, p, spec, thresholds, subsets)
         iterations["newton"] += res.iterations
-        cert = verify(portfolio_return_variable(s, refined), benchmark, p, tol)
+        port = portfolio_return_variable(s, refined)
+        cert = verify(port, benchmark, p, tol)
         gap = max(0.0, cert.worst_gap)
         if gap <= tol:
             w, converged, message = refined, res.converged, res.message
             break
         least_gap = min(least_gap, gap)
-        t_new = float(cert.worst_t)
-        if any(abs(t_new - t) <= 1e-9 * max(1.0, abs(t_new)) for t in thresholds):
-            stop = f"the worst threshold t = {t_new:.10g} repeats a cut"
+        if p == 2.0:
+            new = _subset_cuts(s, benchmark, refined, port, tol, subsets)
+            if not new:
+                stop = (f"no new subset cut: verify fails by {gap:.3e}, and every violated "
+                        "atom's cut (t, J) is already in the model")
+        else:
+            new = [float(cert.worst_t)]
+            if any(abs(new[0] - t) <= 1e-9 * max(1.0, abs(new[0])) for t in thresholds):
+                stop = f"the worst threshold t = {new[0]:.10g} repeats a cut"
+        if stop is None and iterations["constraint_rounds"] > MAX_GENERATED_CONSTRAINTS:
+            stop = f"the budget of {MAX_GENERATED_CONSTRAINTS} cut-adding rounds ran out"
+        if stop is not None:
             break
-        if iterations["constraint_rounds"] > MAX_GENERATED_CONSTRAINTS:
-            stop = f"the budget of {MAX_GENERATED_CONSTRAINTS} generated thresholds ran out"
-            break
-        thresholds.append(t_new)
+        (subsets if p == 2.0 else thresholds).extend(new)
 
     if w is None:
         # one asset, or constraint generation stopped: sweep equal weights,
@@ -658,6 +616,7 @@ def _constraint_generation(s, benchmark, p, cfg, spec) -> SolveReport:
             converged, message = False, (
                 f"no allocation satisfies the stochastic dominance constraint at order {p:g} "
                 f"within tolerance {tol:g}; least violated gap found: {least_gap:.6e}"
+                + ("" if stop is None else f"; constraint generation stopped ({stop})")
             )
         else:
             _, w, cert = best
@@ -667,6 +626,32 @@ def _constraint_generation(s, benchmark, p, cfg, spec) -> SolveReport:
                 "candidate of the fallback sweep"
             )
     return _report(s, benchmark, p, spec, w, cert, thresholds, iterations, converged, message)
+
+
+def _subset_cuts(s, benchmark, w, port, tol, subsets) -> list:
+    """New order-2 subset cuts (t, J) at the weights w, whose return variable is port.
+
+    The shortfall gap E[(t - x.xi)_+] - E[(t - B)_+] is evaluated at every
+    benchmark atom with E[(t - B)_+] > 0 (all but the lowest, which the
+    floor rows cover).  At most SUBSET_CUTS_PER_ROUND atoms with a gap
+    above tol, most violated relative to E[(t - B)_+] (the scale of the
+    cut rows) first, each give J = {j : x.xi_j < t}, the subset on which
+    the cut is tight at w; a (t, J) already in subsets is skipped.
+    """
+    ts = np.unique(benchmark.outcomes)[1:]
+    gaps = _Shortfall(1.0, port, benchmark)(ts)
+    viol = np.flatnonzero(gaps > tol)
+    rel = gaps[viol] / _Shortfall(1.0, benchmark)(ts[viol])
+    out = w.weights @ s.returns
+    seen = {(t, J.tobytes()) for t, J in subsets}
+    new = []
+    for i in viol[np.argsort(-rel, kind="stable")]:
+        t, J = float(ts[i]), out < ts[i]
+        if (t, J.tobytes()) not in seen:
+            new.append((t, J))
+            if len(new) == SUBSET_CUTS_PER_ROUND:
+                break
+    return new
 
 
 def _report(s, benchmark, p, spec, w, cert, thresholds, iterations, converged,

@@ -198,6 +198,9 @@ def emit_plot(report: SolveReport, path, asset_labels=None) -> None:
     for i, (label, wi) in enumerate(zip(labels, w)):
         color = _PALETTE[i % len(_PALETTE)]
         y = legend_y + 26 * i
+        # XML text escapes by hand: importing xml.sax.saxutils.escape pulls in
+        # urllib.request and adds about 7 MB of resident memory
+        label = str(label).replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
         parts.append(f'<rect x="400" y="{y - 12}" width="14" height="14" fill="{color}"/>')
         parts.append(
             f'<text x="422" y="{y}" font-size="14" fill="#222222">{label} {100.0 * wi:.1f}%</text>'

@@ -297,7 +297,8 @@ def min_risk_grid_search(returns: np.ndarray, scen_probs: np.ndarray,
 
 
 def _order2_lp(c: np.ndarray, rows: list, rhs: list, n_free: int, returns: np.ndarray,
-               scen_probs: np.ndarray, bench_out: np.ndarray, bench_pr: np.ndarray) -> float:
+               scen_probs: np.ndarray, bench_out: np.ndarray, bench_pr: np.ndarray,
+               dense: bool = False) -> float:
     """Solve min c.v by HiGHS over v = (x, free variables, s) with order-2 dominance.
 
     x (the first d entries) is on the simplex; the n_free variables after
@@ -306,46 +307,60 @@ def _order2_lp(c: np.ndarray, rows: list, rhs: list, n_free: int, returns: np.nd
     by shortfall variables s_ij >= t_i - x.xi_j, s_ij >= 0 and
     sum_j p_j s_ij <= E[(t_i - B)_+] at the benchmark atoms t_i, which
     suffice at order 2 (Dentcheva & Ruszczynski, SIAM J. Optim. 2003).
-    Skips the calling test when scipy is missing.
+    The constraint matrix is sparse, built block by block; dense=True
+    builds it row by row as a dense array instead, which needs T n (d +
+    n_free + T n) floats and serves only to check the sparse build on
+    small instances.  Skips the calling test when scipy is missing.
     """
     import pytest
 
     linprog = pytest.importorskip("scipy.optimize").linprog
+    sp = pytest.importorskip("scipy.sparse")
     d, n = returns.shape
     ts = np.unique(bench_out)
-    i_s = d + n_free
-    nv = i_s + ts.size * n                 # s is row-major by threshold
+    T, i_s = ts.size, d + n_free
+    nv = i_s + T * n                       # s is row-major by threshold
     c = np.concatenate([c, np.zeros(nv - c.size)])
-    rows = [np.concatenate([row, np.zeros(nv - row.size)]) for row in rows]
-    rhs = list(rhs)
-    for i, t in enumerate(ts):
-        for j in range(n):                 # t - x.xi_j - s_ij <= 0
-            row = np.zeros(nv)
-            row[:d] = -returns[:, j]
-            row[i_s + i * n + j] = -1.0
+    bench = [lpm_direct(bench_out, bench_pr, float(t), 1.0) for t in ts]
+    b_ub = np.concatenate([rhs, np.repeat(-ts, n), bench])
+    if dense:
+        rows = [np.concatenate([row, np.zeros(nv - row.size)]) for row in rows]
+        for i in range(T):
+            for j in range(n):             # t - x.xi_j - s_ij <= 0
+                row = np.zeros(nv)
+                row[:d] = -returns[:, j]
+                row[i_s + i * n + j] = -1.0
+                rows.append(row)
+        for i in range(T):
+            row = np.zeros(nv)             # sum_j p_j s_ij <= E[(t - B)_+]
+            row[i_s + i * n : i_s + (i + 1) * n] = scen_probs
             rows.append(row)
-            rhs.append(-t)
-        row = np.zeros(nv)                 # sum_j p_j s_ij <= E[(t - B)_+]
-        row[i_s + i * n : i_s + (i + 1) * n] = scen_probs
-        rows.append(row)
-        rhs.append(lpm_direct(bench_out, bench_pr, float(t), 1.0))
+        a_ub = np.array(rows)
+    else:
+        caller = sp.csr_matrix(np.reshape(rows, (len(rows), i_s)))
+        a_ub = sp.vstack([
+            sp.hstack([caller, sp.csr_matrix((len(rows), T * n))]),
+            sp.hstack([sp.csr_matrix(np.tile(-returns.T, (T, 1))), sp.csr_matrix((T * n, n_free)),
+                       -sp.identity(T * n)]),
+            sp.hstack([sp.csr_matrix((T, i_s)), sp.kron(sp.identity(T), scen_probs[None, :])]),
+        ], format="csr")
     a_eq = np.zeros((1, nv))
     a_eq[0, :d] = 1.0
     bounds = [(0.0, None)] * d + [(None, None)] * n_free + [(0.0, None)] * (nv - i_s)
-    res = linprog(c, A_ub=np.array(rows), b_ub=np.array(rhs), A_eq=a_eq, b_eq=[1.0],
-                  bounds=bounds, method="highs")
+    res = linprog(c, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=[1.0], bounds=bounds, method="highs")
     assert res.status == 0, res.message
     return float(res.fun)
 
 
 def max_return_order2_lp(returns: np.ndarray, scen_probs: np.ndarray, bench_out: np.ndarray,
-                         bench_pr: np.ndarray) -> float:
+                         bench_pr: np.ndarray, dense: bool = False) -> float:
     """Largest expected return under order-2 dominance, by LP (HiGHS)."""
-    return -_order2_lp(-(returns @ scen_probs), [], [], 0, returns, scen_probs, bench_out, bench_pr)
+    return -_order2_lp(-(returns @ scen_probs), [], [], 0, returns, scen_probs, bench_out, bench_pr,
+                       dense)
 
 
 def cvar_order2_lp(returns: np.ndarray, scen_probs: np.ndarray, bench_out: np.ndarray,
-                   bench_pr: np.ndarray, beta: float) -> float:
+                   bench_pr: np.ndarray, beta: float, dense: bool = False) -> float:
     """Least CVaR_beta of the portfolio loss under order-2 dominance, by LP (HiGHS).
 
     Rockafellar & Uryasev (2000): minimize q + sum_j p_j u_j / (1 - beta)
@@ -365,4 +380,4 @@ def cvar_order2_lp(returns: np.ndarray, scen_probs: np.ndarray, bench_out: np.nd
         row[d + 1 + j] = -1.0
         rows.append(row)
         rhs.append(0.0)
-    return _order2_lp(c, rows, rhs, 1 + n, returns, scen_probs, bench_out, bench_pr)
+    return _order2_lp(c, rows, rhs, 1 + n, returns, scen_probs, bench_out, bench_pr, dense)

@@ -8,6 +8,9 @@ Runs three fixed sweeps and writes the outcome of every run to --out:
   equal-weight benchmark, in 7 columns: max-return at orders 2, 3 and
   4.7, and min-risk at (order, beta, r) = (3, .5, 2), (4.7, .8, 3),
   (2.5, .2, 1.5) and (2, .9, 1);
+- the three 10-asset, 250-scenario factor models of ``factor_returns``
+  (seeds 0-2), each with its equal-weight benchmark, in 2 columns:
+  order-2 max-return and min-risk at (2, .9, 1);
 - the demo data set at orders 2, 2.5, 3, 4 and 4.7, beta 0, .5 and .9,
   and r 1, 2 and 3 (45 min-risk runs);
 - 30 instances with uneven Dirichlet(0.5) scenario probabilities
@@ -17,9 +20,9 @@ It prints, per column, the converged count and the Newton iterations;
 with --baseline, also how many objectives are better, equal or worse
 than the baseline's by more than 1e-9 max(1, |baseline|).  When scipy is
 installed it prints the largest difference from the HiGHS LP optimum of
-the order-2 max-return and CVaR columns.  --src picks the stochdom
-sources to import, so the same script measures another checkout.  It is
-not a test module: pytest does not collect it.
+the order-2 max-return and CVaR columns, random and factor.  --src picks
+the stochdom sources to import, so the same script measures another
+checkout.  It is not a test module: pytest does not collect it.
 """
 
 from __future__ import annotations
@@ -41,7 +44,11 @@ SWEEP_COLUMNS = {
     "min-risk (2.5, .2, 1.5)": (2.5, (0.2, 1.5)),
     "min-risk (2, .9, 1)": (2.0, (0.9, 1.0)),
 }
-LP_COLUMNS = ("max-return p2", "min-risk (2, .9, 1)")
+FACTOR_COLUMNS = {
+    "factor max-return p2": (2.0, None),
+    "factor (2, .9, 1)": (2.0, (0.9, 1.0)),
+}
+LP_COLUMNS = ("max-return p2", "min-risk (2, .9, 1)", *FACTOR_COLUMNS)
 
 
 def sweep_instance(k: int) -> np.ndarray:
@@ -52,6 +59,17 @@ def sweep_instance(k: int) -> np.ndarray:
         n = int(rng.integers(10, 40))
         returns = np.round(rng.normal(0.1, 1.0, (d, n)), 3)
     return returns
+
+
+def factor_returns(seed: int, d: int = 10, n: int = 250) -> np.ndarray:
+    """Assets x scenarios returns 0.6 f + noise: one common factor f and independent noise."""
+    rng = np.random.default_rng(seed)
+    f = rng.normal(0.05, 1.0, n)
+    return 0.6 * f[None, :] + rng.normal(0.0, 1.0, (d, n))
+
+
+def _instance_returns(column: str, k: int) -> np.ndarray:
+    return factor_returns(k) if column in FACTOR_COLUMNS else sweep_instance(k)
 
 
 def uneven_returns(seed: int) -> tuple[np.ndarray, np.ndarray]:
@@ -67,6 +85,9 @@ def _runs():
     for column, (order, risk) in SWEEP_COLUMNS.items():
         for k in range(22):
             yield column, k, sweep_instance(k), None, order, risk
+    for column, (order, risk) in FACTOR_COLUMNS.items():
+        for seed in range(3):
+            yield column, seed, factor_returns(seed), None, order, risk
     for order in (2.0, 2.5, 3.0, 4.0, 4.7):
         for beta in (0.0, 0.5, 0.9):
             for r in (1.0, 2.0, 3.0):
@@ -109,13 +130,14 @@ def lp_differences(sd, runs: list[dict]) -> dict[str, float]:
     for rec in runs:
         if rec["column"] not in worst:
             continue
-        s = sd.ScenarioSet(sweep_instance(rec["instance"]))
+        s = sd.ScenarioSet(_instance_returns(rec["column"], rec["instance"]))
         b = sd.portfolio_return_variable(s, sd.PortfolioWeights.equal(s.d))
         args = (s.returns, s.scenario_probabilities, b.outcomes, b.probabilities)
-        if rec["column"] == "max-return p2":
+        risk = {**SWEEP_COLUMNS, **FACTOR_COLUMNS}[rec["column"]][1]
+        if risk is None:
             lp = -max_return_order2_lp(*args)
         else:
-            lp = cvar_order2_lp(*args, 0.9)
+            lp = cvar_order2_lp(*args, risk[0])
         diff = float("inf") if rec["score"] is None else abs(rec["score"] - lp)
         worst[rec["column"]] = max(worst[rec["column"]], diff)
     return worst

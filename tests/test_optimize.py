@@ -26,7 +26,7 @@ from tests.oracles import (
     max_return_order2_lp,
     min_risk_grid_search,
 )
-from tests.parity_sweep import sweep_instance, uneven_returns
+from tests.parity_sweep import factor_returns, sweep_instance, uneven_returns
 
 CFG = SolverConfig()
 
@@ -98,6 +98,7 @@ class TestSolverConfig:
         assert optimize.NEWTON_MAX_ITER == 100
         assert optimize.NEWTON_TOL == 1e-10
         assert optimize.MAX_GENERATED_CONSTRAINTS == 50
+        assert optimize.SUBSET_CUTS_PER_ROUND == 10
 
     def test_validation(self):
         for tol in (0.0, -1e-8, float("nan"), float("inf")):
@@ -202,6 +203,37 @@ class TestIndependentOracles:
         assert cvar.converged
         assert abs(cvar.risk_value - cvar_order2_lp(*args, 0.9)) <= 1e-9
 
+    # Order-2 max-return and CVaR(.9) optima of factor_returns(seed) by the
+    # sparse HiGHS oracle; each LP takes 14-22 s, so they are frozen here
+    # and tests/parity_sweep.py recomputes them
+    FACTOR_LP = {
+        0: (0.0010854329183189598, 1.1360502256950717),
+        1: (-0.022326789390473188, 1.106497075565468),
+        2: (0.029786501386914854, 1.2080617216718046),
+    }
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_order2_factor_models(self, seed):
+        # 10 assets, 250 scenarios: the solve must be certified and match the LP
+        s = ScenarioSet(factor_returns(seed))
+        bench = equal_weight_benchmark(s)
+        best_lp, cvar_lp = self.FACTOR_LP[seed]
+        best = optimize_max_return(s, bench, 2.0, CFG)
+        assert best.converged, best.message
+        assert abs(best.expected_return - best_lp) <= 1e-9 * max(1.0, abs(best_lp))
+        cvar = optimize_min_risk(s, bench, 2.0, RiskSpec(0.9, 1.0), CFG)
+        assert cvar.converged, cvar.message
+        assert abs(cvar.risk_value - cvar_lp) <= 1e-9 * max(1.0, abs(cvar_lp))
+
+    @pytest.mark.parametrize("k", range(22))
+    def test_sparse_lp_matches_dense_build(self, k):
+        s = ScenarioSet(sweep_instance(k))
+        bench = equal_weight_benchmark(s)
+        args = (s.returns, s.scenario_probabilities, bench.outcomes, bench.probabilities)
+        for oracle, extra in ((max_return_order2_lp, ()), (cvar_order2_lp, (0.9,))):
+            sparse, dense = oracle(*args, *extra), oracle(*args, *extra, dense=True)
+            assert abs(sparse - dense) <= 1e-12
+
     @pytest.mark.parametrize("r", [1.5, 2.0, 3.0])
     def test_two_asset_min_risk_grid(self, r):
         rng = np.random.default_rng(31)
@@ -282,12 +314,21 @@ class TestMaxReturnDriver:
         assert report.objective_value is None
         assert "least violated gap" in report.message
 
-    def test_constraint_budget_respected(self, monkeypatch):
+    def test_constraint_budget_respected(self, demo, demo_benchmark, monkeypatch):
         monkeypatch.setattr(optimize, "MAX_GENERATED_CONSTRAINTS", 3)
         s = ScenarioSet(np.array([[1.0, 2.0], [0.5, 1.5]]))
         bench = DiscreteRandomVariable([50.0, 51.0], [0.5, 0.5])
         report = optimize_max_return(s, bench, 2.0, CFG)
         assert report.infeasible
+        # round 2 returns the same weights, whose violated atom t = 51 is cut already
+        assert report.iterations["constraint_rounds"] == 2
+        assert "no new subset cut" in report.message
+        # the demo needs 4 rounds at order 2; with a budget of 1 the second round is the last
+        monkeypatch.setattr(optimize, "MAX_GENERATED_CONSTRAINTS", 1)
+        starved = optimize_max_return(demo, demo_benchmark, 2.0, CFG)
+        assert starved.iterations["constraint_rounds"] == 2
+        assert not starved.converged and not starved.infeasible
+        assert "the budget of 1 cut-adding rounds ran out" in starved.message
 
     def test_budget_counts_only_generated_thresholds(self):
         # 60 benchmark atoms exceed the 50-threshold budget on their own

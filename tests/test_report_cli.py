@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+from xml.dom import minidom
 
 import numpy as np
 import pytest
@@ -293,3 +294,13 @@ class TestCliSolve:
                      "--plot", str(svg)])
         assert code == EXIT_OK
         assert svg.read_bytes().startswith(b"<?xml")
+
+    def test_plot_escapes_asset_labels(self, tmp_path):
+        data = tmp_path / "r.csv"
+        data.write_text("S&P 500,<Bonds>\n1.0,0.5\n2.0,1.5\n0.5,1.0\n", encoding="utf-8")
+        svg = tmp_path / "alloc.svg"
+        code = main(["max-return", "--data", str(data), "--order", "2", "--plot", str(svg)])
+        assert code == EXIT_OK
+        texts = [node.firstChild.data for node in minidom.parse(str(svg)).getElementsByTagName("text")]
+        assert any(t.startswith("S&P 500 ") for t in texts)
+        assert any(t.startswith("<Bonds> ") for t in texts)
