@@ -127,7 +127,7 @@ def _cmd_solve(ns: argparse.Namespace) -> int:
             sys.stderr.write("sd: skipping plot: the run is infeasible\n")
         else:
             emit_plot(result, ns.plot, asset_labels=s.asset_labels)
-    return EXIT_NOT_DOMINANT if result.infeasible else EXIT_OK
+    return EXIT_NOT_DOMINANT if result.infeasible or result.dominance_residual > ns.tol else EXIT_OK
 
 
 def main(argv=None) -> int:

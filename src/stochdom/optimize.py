@@ -6,7 +6,9 @@ condition) and solves it by an infeasible-start primal-dual interior-point
 method with Mehrotra predictor-corrector steps, started from equal
 weights; its primal and dual residuals and duality gap certify the
 optimum.  A constraint-generation loop adds cuts violated by the round's
-weights until a full verification pass certifies dominance.
+weights until a full verification pass certifies dominance, or a round's
+cut multipliers prove that no portfolio passes it (see `_ipm`), or the
+loop stops and returns the last round's weights, which may not dominate.
 
 Every dominance cut is a row in the weights x.  Above order 2 a cut is
 the smooth moment bound E[(t - x.xi)_+^k] <= E[(t - B)_+^k] at a
@@ -71,7 +73,8 @@ class SolverConfig:
 
 @dataclass(frozen=True, eq=False)
 class SolveReport:
-    """Outcome of a dominance-constrained portfolio optimization."""
+    """Outcome of a dominance-constrained portfolio optimization: a verified optimum (converged),
+    infeasible (with its proof in `message`), or unconverged weights that may not dominate."""
 
     weights: PortfolioWeights | None
     active_thresholds: tuple[float, ...]
@@ -196,10 +199,11 @@ class _DominanceCuts:
     t - x.xi_j <= 0, which do have an interior whenever one exists.  The
     last row is the mean condition E[benchmark] - E[x.xi] <= 0, which
     dominance at any order p >= 2 requires.
+    slack[i] bounds row i at any portfolio that passes `verify` at tol.
     """
 
     def __init__(self, scenarios: ScenarioSet, benchmark: DiscreteRandomVariable, order, thresholds,
-                 subsets=()):
+                 tol, subsets=()):
         self.xi = scenarios.returns
         self.p = scenarios.scenario_probabilities
         self.mr = scenarios.mean_returns()
@@ -221,6 +225,10 @@ class _DominanceCuts:
         scale = 1.0 / _Shortfall(1.0, benchmark)(sub_t)
         self.lin = -(pj @ self.xi.T) * scale[:, None]
         self.lin0 = sub_t * pj.sum(axis=1) * scale - 1.0
+        floor = (tol / self.p) ** (1.0 / self.k) if self.floor_t is not None else []
+        # above order 2 verify lets the mean fall short by tol times the support width
+        mean_slack = tol if self.k == 1.0 else tol * np.ptp(np.append(self.xi, benchmark.outcomes))
+        self.slack = np.concatenate([tol / self.bench, tol * scale, floor, [mean_slack]])
 
     @property
     def m(self) -> int:
@@ -286,9 +294,9 @@ class _Model:
       eta = ||u||_{r,p}, so the objective is phi(q) of the risk measure.
     """
 
-    def __init__(self, s: ScenarioSet, benchmark, order, spec: RiskSpec | None, thresholds,
+    def __init__(self, s: ScenarioSet, benchmark, order, spec: RiskSpec | None, thresholds, tol,
                  subsets=()):
-        self.cuts = cuts = _DominanceCuts(s, benchmark, order, thresholds, subsets)
+        self.cuts = cuts = _DominanceCuts(s, benchmark, order, thresholds, tol, subsets)
         self.probs = s.scenario_probabilities
         self.d, self.n = d, n = s.d, s.n
         if spec is None or spec.beta == 0.0:
@@ -387,22 +395,23 @@ class _Iterate:
 
 @dataclass(frozen=True, eq=False)
 class _IPMResult:
-    """The returned iterate's y and how the solve ended."""
+    """The returned iterate's y and how the solve ended; certificate is (L, lam.s) of `_ipm`."""
 
     y: np.ndarray
     converged: bool
     iterations: int
     message: str | None
+    certificate: tuple[float, float] | None
 
 
 def _residuals(model: _Model, it: _Iterate):
-    """Dense-row Jacobian and every residual of the KKT conditions at it:
+    """Dense-row values and Jacobian, and every residual of the KKT conditions at it:
     the dual residual, then the primal residuals of the dense rows and the simplex row."""
     g, J = model.rows(it.y)
     ry = model.cost + J.T @ it.lam
     ry[: model.d] += it.nu
     ry[model.bounded] -= it.zb
-    return J, ry, g + it.w, float(it.y[: model.d].sum()) - 1.0
+    return g, J, ry, g + it.w, float(it.y[: model.d].sum()) - 1.0
 
 
 def _direction(model: _Model, it: _Iterate, J, H, res, comp) -> _Iterate:
@@ -472,14 +481,18 @@ def _ipm(model: _Model) -> _IPMResult:
     NEWTON_TOL (1 + |objective|).  Otherwise the iterate with the smallest
     of those relative residuals is returned with the stop reason and the
     residuals above the tolerance.
+    The cut rows g are convex, so at an iterate x their multipliers lam (clipped at 0, sum 1)
+    prove that no z passes `verify` when L = lam.g(x) + min_j G_j - G.x (G = J(x)' lam) exceeds
+    lam.s beyond rounding: lam.g(z) >= L on the simplex, but lam.g(z) <= lam.s if z passes.
     """
     tol = NEWTON_TOL
+    d, mc = model.d, model.cuts.m
     it = model.start()
-    best = None
+    best = certificate = None
     stop = "the iteration limit"
     k = 0
     while True:
-        J, *res = _residuals(model, it)
+        g, J, *res = _residuals(model, it)
         pairs = it.pairs(model)
         gap = sum(float(np.sum(v * z)) for v, z in pairs)
         scale = 1.0 + abs(float(model.cost @ it.y))
@@ -491,6 +504,13 @@ def _ipm(model: _Model) -> _IPMResult:
             break
         if best is None or merit <= best[0]:
             best = (merit, it.y.copy(), norms, scale)
+        lam = np.maximum(it.lam[:mc], 0.0)
+        lam /= lam.sum()
+        G = J[:mc, :d].T @ lam
+        bound, allowed = lam @ g[:mc] + G.min() - G @ it.y[:d], lam @ model.cuts.slack
+        if bound > allowed + 1e-9 * (1.0 + lam @ np.abs(g[:mc]) + np.abs(G).max()):
+            certificate, stop = (float(bound), float(allowed)), "an infeasibility certificate"
+            break
         if merit <= tol or k == NEWTON_MAX_ITER:
             break
         try:
@@ -518,21 +538,21 @@ def _ipm(model: _Model) -> _IPMResult:
         + f" above NEWTON_TOL {tol:g} relative to 1 + |objective|: "
         + ", ".join(f"{name} {v:.3e}" for name, v in zip(names, norms))
     )
-    return _IPMResult(y=y, converged=converged, iterations=k, message=message)
+    return _IPMResult(y, converged, k, message, certificate)
 
 
-def newton_refine(s: ScenarioSet, benchmark, order, spec: RiskSpec | None, thresholds,
+def newton_refine(s: ScenarioSet, benchmark, order, spec: RiskSpec | None, thresholds, tol,
                   subsets=()):
     """Solve one round's model over a finite threshold set from equal weights.
 
     At order 2 the thresholds give only the floor rows, and the cuts are
     the subset cuts (t, J) in subsets, J a boolean mask over the
-    scenarios.  Returns the weights (clipped and renormalized onto the
-    simplex), the lifted q for a min-risk problem with beta > 0 (None
-    otherwise), and the interior-point result with `converged`,
-    `iterations` and `message`.
+    scenarios, and tol is the tolerance of `verify`.  Returns the weights
+    (clipped and renormalized onto the simplex), the lifted q for a
+    min-risk problem with beta > 0 (None otherwise), and the interior-point
+    result with `converged`, `iterations`, `message` and `certificate`.
     """
-    model = _Model(s, benchmark, order, spec, thresholds, subsets)
+    model = _Model(s, benchmark, order, spec, thresholds, tol, subsets)
     res = _ipm(model)
     x = np.maximum(res.y[: s.d], 0.0)
     return PortfolioWeights(x / x.sum()), (None if model.r is None else float(res.y[s.d])), res
@@ -568,24 +588,33 @@ def _constraint_generation(s, benchmark, p, cfg, spec) -> SolveReport:
     thresholds = [float(t) for t in np.unique(benchmark.outcomes)]
     subsets = []
     iterations = {"newton": 0, "constraint_rounds": 0}
-    least_gap = float("inf")
-    w = cert = stop = None
-    while s.d > 1:
+    no_alloc = f"no allocation dominates the benchmark at order {p:g} within tolerance {tol:g}"
+    if s.d == 1:    # the simplex is the single point x = (1), so its verify decides
+        w = PortfolioWeights([1.0])
+        cert = verify(portfolio_return_variable(s, w), benchmark, p, tol)
+        ok = cert.worst_gap <= tol
+        return _report(s, benchmark, p, spec, w if ok else None, cert, thresholds, iterations, ok,
+                       None if ok else f"{no_alloc}; least violated gap: {cert.worst_gap:.6e}")
+    while True:
         iterations["constraint_rounds"] += 1
-        refined, _, res = newton_refine(s, benchmark, p, spec, thresholds, subsets)
+        w, _, res = newton_refine(s, benchmark, p, spec, thresholds, tol, subsets)
         iterations["newton"] += res.iterations
-        port = portfolio_return_variable(s, refined)
+        if res.certificate is not None:
+            L, allowed = res.certificate
+            return _report(s, benchmark, p, spec, None, None, thresholds, iterations, False,
+                           f"{no_alloc}: the cut multipliers give lambda.g(x) >= L = {L:.6e} "
+                           f"on the simplex, above lambda.s = {allowed:.6e}, its bound if dominant")
+        port = portfolio_return_variable(s, w)
         cert = verify(port, benchmark, p, tol)
         gap = max(0.0, cert.worst_gap)
         if gap <= tol:
-            w, converged, message = refined, res.converged, res.message
-            break
-        least_gap = min(least_gap, gap)
+            return _report(s, benchmark, p, spec, w, cert, thresholds, iterations, res.converged,
+                           res.message)
+        stop = None
         if p == 2.0:
-            new = _subset_cuts(s, benchmark, refined, port, tol, subsets)
+            new = _subset_cuts(s, benchmark, w, port, tol, subsets)
             if not new:
-                stop = (f"no new subset cut: verify fails by {gap:.3e}, and every violated "
-                        "atom's cut (t, J) is already in the model")
+                stop = "no new subset cut: every violated atom's cut (t, J) is already in the model"
         else:
             new = [float(cert.worst_t)]
             if any(abs(new[0] - t) <= 1e-9 * max(1.0, abs(new[0])) for t in thresholds):
@@ -593,39 +622,9 @@ def _constraint_generation(s, benchmark, p, cfg, spec) -> SolveReport:
         if stop is None and iterations["constraint_rounds"] > MAX_GENERATED_CONSTRAINTS:
             stop = f"the budget of {MAX_GENERATED_CONSTRAINTS} cut-adding rounds ran out"
         if stop is not None:
-            break
+            return _report(s, benchmark, p, spec, w, cert, thresholds, iterations, False,
+                           f"constraint generation stopped ({stop}); verify fails by {gap:.3e}")
         (subsets if p == 2.0 else thresholds).extend(new)
-
-    if w is None:
-        # one asset, or constraint generation stopped: sweep equal weights,
-        # then the vertices, by the true objective
-        vertices = np.eye(s.d) if s.d > 1 else ()    # one asset: equal weights are the vertex
-        best = None
-        for xc in [np.full(s.d, 1.0 / s.d), *vertices]:
-            x = PortfolioWeights(xc)
-            port = portfolio_return_variable(s, x)
-            c = verify(port, benchmark, p, tol)
-            gap = max(0.0, c.worst_gap)
-            if gap > tol:
-                least_gap = min(least_gap, gap)
-                continue
-            score = -mean(port) if spec is None else higher_order_risk(port, spec).rho
-            if best is None or score < best[0]:
-                best = (score, x, c)
-        if best is None:
-            converged, message = False, (
-                f"no allocation satisfies the stochastic dominance constraint at order {p:g} "
-                f"within tolerance {tol:g}; least violated gap found: {least_gap:.6e}"
-                + ("" if stop is None else f"; constraint generation stopped ({stop})")
-            )
-        else:
-            _, w, cert = best
-            converged = stop is None
-            message = None if converged else (
-                f"constraint generation stopped ({stop}); returned the best dominating "
-                "candidate of the fallback sweep"
-            )
-    return _report(s, benchmark, p, spec, w, cert, thresholds, iterations, converged, message)
 
 
 def _subset_cuts(s, benchmark, w, port, tol, subsets) -> list:

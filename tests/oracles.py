@@ -298,8 +298,8 @@ def min_risk_grid_search(returns: np.ndarray, scen_probs: np.ndarray,
 
 def _order2_lp(c: np.ndarray, rows: list, rhs: list, n_free: int, returns: np.ndarray,
                scen_probs: np.ndarray, bench_out: np.ndarray, bench_pr: np.ndarray,
-               dense: bool = False) -> float:
-    """Solve min c.v by HiGHS over v = (x, free variables, s) with order-2 dominance.
+               dense: bool = False):
+    """HiGHS's result for min c.v over v = (x, free variables, s) with order-2 dominance.
 
     x (the first d entries) is on the simplex; the n_free variables after
     it carry the caller's bounds in rows/rhs (they are left unbounded, the
@@ -347,16 +347,29 @@ def _order2_lp(c: np.ndarray, rows: list, rhs: list, n_free: int, returns: np.nd
     a_eq = np.zeros((1, nv))
     a_eq[0, :d] = 1.0
     bounds = [(0.0, None)] * d + [(None, None)] * n_free + [(0.0, None)] * (nv - i_s)
-    res = linprog(c, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=[1.0], bounds=bounds, method="highs")
-    assert res.status == 0, res.message
-    return float(res.fun)
+    return linprog(c, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=[1.0], bounds=bounds, method="highs")
+
+
+def order2_feasible_lp(returns: np.ndarray, scen_probs: np.ndarray, bench_out: np.ndarray,
+                       bench_pr: np.ndarray) -> bool:
+    """Whether some portfolio dominates the benchmark at order 2, by HiGHS's status of the LP.
+
+    HiGHS reports status 0 for a feasible LP and 2 for an infeasible one;
+    any other status fails the calling test.
+    """
+    res = _order2_lp(np.zeros(returns.shape[0]), [], [], 0, returns, scen_probs, bench_out,
+                     bench_pr)
+    assert res.status in (0, 2), res.message
+    return res.status == 0
 
 
 def max_return_order2_lp(returns: np.ndarray, scen_probs: np.ndarray, bench_out: np.ndarray,
                          bench_pr: np.ndarray, dense: bool = False) -> float:
     """Largest expected return under order-2 dominance, by LP (HiGHS)."""
-    return -_order2_lp(-(returns @ scen_probs), [], [], 0, returns, scen_probs, bench_out, bench_pr,
-                       dense)
+    res = _order2_lp(-(returns @ scen_probs), [], [], 0, returns, scen_probs, bench_out, bench_pr,
+                     dense)
+    assert res.status == 0, res.message
+    return -float(res.fun)
 
 
 def cvar_order2_lp(returns: np.ndarray, scen_probs: np.ndarray, bench_out: np.ndarray,
@@ -380,4 +393,6 @@ def cvar_order2_lp(returns: np.ndarray, scen_probs: np.ndarray, bench_out: np.nd
         row[d + 1 + j] = -1.0
         rows.append(row)
         rhs.append(0.0)
-    return _order2_lp(c, rows, rhs, 1 + n, returns, scen_probs, bench_out, bench_pr, dense)
+    res = _order2_lp(c, rows, rhs, 1 + n, returns, scen_probs, bench_out, bench_pr, dense)
+    assert res.status == 0, res.message
+    return float(res.fun)

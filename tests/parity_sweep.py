@@ -2,7 +2,7 @@
 
     python tests/parity_sweep.py --out new.json [--src SRC] [--baseline old.json]
 
-Runs three fixed sweeps and writes the outcome of every run to --out:
+Runs fixed sweeps and writes the outcome of every run to --out:
 
 - the 22 seeded random instances of ``sweep_instance``, each with its
   equal-weight benchmark, in 7 columns: max-return at orders 2, 3 and
@@ -14,13 +14,19 @@ Runs three fixed sweeps and writes the outcome of every run to --out:
 - the demo data set at orders 2, 2.5, 3, 4 and 4.7, beta 0, .5 and .9,
   and r 1, 2 and 3 (45 min-risk runs);
 - 30 instances with uneven Dirichlet(0.5) scenario probabilities
-  (``uneven_returns``) at (4.7, .8, 3).
+  (``uneven_returns``) at (4.7, .8, 3);
+- the 22 random instances with the equal-weight benchmark raised by each
+  of ``SHIFTS``, which can leave no dominating portfolio, in 3 columns:
+  max-return at orders 2 and 3 and min-risk at (2, .9, 1).
 
 It prints, per column, the converged count and the Newton iterations;
 with --baseline, also how many objectives are better, equal or worse
-than the baseline's by more than 1e-9 max(1, |baseline|).  When scipy is
-installed it prints the largest difference from the HiGHS LP optimum of
-the order-2 max-return and CVaR columns, random and factor.  --src picks
+than the baseline's by more than 1e-9 max(1, |baseline|).  A shifted
+column prints its infeasible, converged and unconverged counts and its
+constraint-generation rounds instead.  When scipy is installed it prints
+the largest difference from the HiGHS LP optimum of the order-2
+max-return and CVaR columns, random and factor, and how many order-2
+shifted runs' infeasible verdicts disagree with HiGHS.  --src picks
 the stochdom sources to import, so the same script measures another
 checkout.  It is not a test module: pytest does not collect it.
 """
@@ -49,6 +55,12 @@ FACTOR_COLUMNS = {
     "factor (2, .9, 1)": (2.0, (0.9, 1.0)),
 }
 LP_COLUMNS = ("max-return p2", "min-risk (2, .9, 1)", *FACTOR_COLUMNS)
+SHIFTS = (1e-4, 1e-3, 3e-2)
+SHIFTED_COLUMNS = {
+    "shifted max-return p2": (2.0, None),
+    "shifted max-return p3": (3.0, None),
+    "shifted (2, .9, 1)": (2.0, (0.9, 1.0)),
+}
 
 
 def sweep_instance(k: int) -> np.ndarray:
@@ -81,27 +93,34 @@ def uneven_returns(seed: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _runs():
-    """(column, instance, returns, probabilities or None, order, (beta, r) or None)."""
+    """(column, instance, returns, probabilities or None, order, (beta, r) or None,
+    benchmark shift)."""
     for column, (order, risk) in SWEEP_COLUMNS.items():
         for k in range(22):
-            yield column, k, sweep_instance(k), None, order, risk
+            yield column, k, sweep_instance(k), None, order, risk, 0.0
     for column, (order, risk) in FACTOR_COLUMNS.items():
         for seed in range(3):
-            yield column, seed, factor_returns(seed), None, order, risk
+            yield column, seed, factor_returns(seed), None, order, risk, 0.0
     for order in (2.0, 2.5, 3.0, 4.0, 4.7):
         for beta in (0.0, 0.5, 0.9):
             for r in (1.0, 2.0, 3.0):
-                yield "demo", f"{order:g}/{beta:g}/{r:g}", None, None, order, (beta, r)
+                yield "demo", f"{order:g}/{beta:g}/{r:g}", None, None, order, (beta, r), 0.0
     for seed in range(30):
-        yield "uneven (4.7, .8, 3)", seed, *uneven_returns(seed), 4.7, (0.8, 3.0)
+        yield "uneven (4.7, .8, 3)", seed, *uneven_returns(seed), 4.7, (0.8, 3.0), 0.0
+    for column, (order, risk) in SHIFTED_COLUMNS.items():
+        for k in range(22):
+            for shift in SHIFTS:
+                yield column, f"{k}/{shift:g}", sweep_instance(k), None, order, risk, shift
 
 
 def run_all(sd) -> list[dict]:
     demo = sd.demo_scenarios()
     out = []
-    for column, inst, returns, probs, order, risk in _runs():
+    for column, inst, returns, probs, order, risk, shift in _runs():
         s = demo if returns is None else sd.ScenarioSet(returns, probs)
         bench = sd.portfolio_return_variable(s, sd.PortfolioWeights.equal(s.d))
+        if shift:
+            bench = sd.DiscreteRandomVariable(bench.outcomes + shift, bench.probabilities)
         rec = {"column": column, "instance": inst}
         try:
             if risk is None:
@@ -111,9 +130,11 @@ def run_all(sd) -> list[dict]:
                 rep = sd.optimize_min_risk(s, bench, order, sd.RiskSpec(*risk))
                 score = rep.risk_value
             rec.update(score=score, converged=bool(rep.converged), newton=rep.iterations["newton"],
-                       message=rep.message)
+                       message=rep.message, infeasible=bool(rep.infeasible),
+                       rounds=rep.iterations["constraint_rounds"])
         except Exception as exc:  # a raising run is recorded, not fatal
-            rec.update(score=None, converged=False, newton=0, message=f"raised {exc!r}")
+            rec.update(score=None, converged=False, newton=0, message=f"raised {exc!r}",
+                       infeasible=False, rounds=0)
         out.append(rec)
     return out
 
@@ -143,12 +164,49 @@ def lp_differences(sd, runs: list[dict]) -> dict[str, float]:
     return worst
 
 
+def highs_disagreements(sd, runs: list[dict]) -> dict[str, int]:
+    """Order-2 shifted runs whose infeasible verdict differs from HiGHS's; empty without scipy."""
+    try:
+        import scipy.optimize  # noqa: F401
+    except ImportError:
+        return {}
+    from tests.oracles import order2_feasible_lp
+
+    out = {}
+    for column, (order, _) in SHIFTED_COLUMNS.items():
+        if order != 2.0:
+            continue
+        out[column] = 0
+        for rec in runs:
+            if rec["column"] != column:
+                continue
+            k, shift = rec["instance"].split("/")
+            s = sd.ScenarioSet(sweep_instance(int(k)))
+            b = sd.portfolio_return_variable(s, sd.PortfolioWeights.equal(s.d))
+            feasible = order2_feasible_lp(s.returns, s.scenario_probabilities,
+                                          b.outcomes + float(shift), b.probabilities)
+            out[column] += rec["infeasible"] == feasible
+    return out
+
+
+def _outcomes(rows: list[dict]) -> str:
+    infeasible = sum(r["infeasible"] for r in rows)
+    converged = sum(r["converged"] for r in rows)
+    return (f"infeasible {infeasible:2d} converged {converged:2d} unconverged "
+            f"{len(rows) - infeasible - converged:2d} rounds {sum(r['rounds'] for r in rows):4d}")
+
+
 def summarize(runs: list[dict], baseline: list[dict] | None) -> list[str]:
     base = {(b["column"], str(b["instance"])): b for b in baseline or []}
     columns = list(dict.fromkeys(r["column"] for r in runs))
     lines = []
     for column in columns:
         rows = [r for r in runs if r["column"] == column]
+        if column in SHIFTED_COLUMNS:
+            old = [b for b in baseline or [] if b["column"] == column]
+            lines.append(f"{column:26s} {_outcomes(rows)} of {len(rows)}"
+                         + (f" | baseline {_outcomes(old)}" if old else ""))
+            continue
         line = (f"{column:26s} converged {sum(r['converged'] for r in rows):3d}/{len(rows):<3d}"
                 f" newton {sum(r['newton'] for r in rows):6d}")
         if baseline is not None:
@@ -181,6 +239,8 @@ def main(argv=None) -> int:
     print("\n".join(summarize(runs, baseline)))
     for column, diff in lp_differences(sd, runs).items():
         print(f"{column}: largest |objective - HiGHS LP| {diff:.2e}")
+    for column, count in highs_disagreements(sd, runs).items():
+        print(f"{column}: {count} infeasible verdicts disagree with HiGHS")
     return 0
 
 

@@ -25,6 +25,7 @@ from tests.oracles import (
     max_return_grid_search,
     max_return_order2_lp,
     min_risk_grid_search,
+    order2_feasible_lp,
 )
 from tests.parity_sweep import factor_returns, sweep_instance, uneven_returns
 
@@ -42,6 +43,12 @@ def factor_model(rng: np.random.Generator, d: int, n: int) -> np.ndarray:
 
 def equal_weight_benchmark(s: ScenarioSet) -> DiscreteRandomVariable:
     return portfolio_return_variable(s, PortfolioWeights.equal(s.d))
+
+
+def shifted_benchmark(s: ScenarioSet, shift: float) -> DiscreteRandomVariable:
+    """The equal-weight benchmark with every outcome raised by shift."""
+    bench = equal_weight_benchmark(s)
+    return DiscreteRandomVariable(bench.outcomes + shift, bench.probabilities)
 
 
 def two_asset_instance(rng: np.random.Generator, slack: float = 0.0):
@@ -159,7 +166,7 @@ class TestNewtonRefine:
         s = ScenarioSet(returns)
         bench = DiscreteRandomVariable([-10.0, -9.0], [0.5, 0.5])
         thresholds = [float(t) for t in bench.outcomes]
-        w, q, res = optimize.newton_refine(s, bench, 3.0, None, thresholds)
+        w, q, res = optimize.newton_refine(s, bench, 3.0, None, thresholds, 1e-8)
         best = int(np.argmax(s.mean_returns()))
         expected = np.zeros(3)
         expected[best] = 1.0
@@ -171,7 +178,7 @@ class TestNewtonRefine:
         monkeypatch.setattr(optimize, "NEWTON_MAX_ITER", 2)
         thresholds = [float(t) for t in np.unique(demo_benchmark.outcomes)]
         spec = RiskSpec(0.5, 2.0)
-        _, q, res = optimize.newton_refine(demo, demo_benchmark, 4.7, spec, thresholds)
+        _, q, res = optimize.newton_refine(demo, demo_benchmark, 4.7, spec, thresholds, 1e-8)
         assert q is not None and res.iterations == 2
         assert not res.converged
         assert "iteration limit" in res.message and "above NEWTON_TOL" in res.message
@@ -183,7 +190,7 @@ class TestNewtonRefine:
         s = ScenarioSet(sweep_instance(12))
         bench = equal_weight_benchmark(s)
         thresholds = [float(t) for t in np.unique(bench.outcomes)]
-        _, _, res = optimize.newton_refine(s, bench, 2.5, RiskSpec(0.2, 1.5), thresholds)
+        _, _, res = optimize.newton_refine(s, bench, 2.5, RiskSpec(0.2, 1.5), thresholds, 1e-8)
         assert not res.converged
         assert "with dual residual above NEWTON_TOL" in res.message
 
@@ -233,6 +240,26 @@ class TestIndependentOracles:
         for oracle, extra in ((max_return_order2_lp, ()), (cvar_order2_lp, (0.9,))):
             sparse, dense = oracle(*args, *extra), oracle(*args, *extra, dense=True)
             assert abs(sparse - dense) <= 1e-12
+
+    @pytest.mark.parametrize("k", range(22))
+    def test_shifted_benchmark_verdicts_match_highs(self, k):
+        # raising the equal-weight benchmark by a shift can leave no dominating portfolio
+        s = ScenarioSet(sweep_instance(k))
+        for shift in (1e-4, 1e-3, 3e-2):
+            bench = shifted_benchmark(s, shift)
+            feasible = order2_feasible_lp(s.returns, s.scenario_probabilities, bench.outcomes,
+                                          bench.probabilities)
+            assert optimize_max_return(s, bench, 2.0, CFG).infeasible == (not feasible)
+            # order-2 dominance implies order 3, so an order-3 proof needs an order-2 one
+            assert not (feasible and optimize_max_return(s, bench, 3.0, CFG).infeasible)
+
+    @pytest.mark.parametrize("k", [2, 3, 4])
+    def test_order3_infeasibility_certified_in_few_rounds(self, k):
+        s = ScenarioSet(sweep_instance(k))
+        report = optimize_max_return(s, shifted_benchmark(s, 5e-2), 3.0, CFG)
+        assert report.infeasible and report.weights is None
+        assert report.iterations["constraint_rounds"] <= 4
+        assert "the cut multipliers give lambda.g(x) >= L" in report.message
 
     @pytest.mark.parametrize("r", [1.5, 2.0, 3.0])
     def test_two_asset_min_risk_grid(self, r):
@@ -312,7 +339,7 @@ class TestMaxReturnDriver:
         assert report.infeasible
         assert report.weights is None
         assert report.objective_value is None
-        assert "least violated gap" in report.message
+        assert "the cut multipliers give lambda.g(x) >= L" in report.message
 
     def test_constraint_budget_respected(self, demo, demo_benchmark, monkeypatch):
         monkeypatch.setattr(optimize, "MAX_GENERATED_CONSTRAINTS", 3)
@@ -320,15 +347,27 @@ class TestMaxReturnDriver:
         bench = DiscreteRandomVariable([50.0, 51.0], [0.5, 0.5])
         report = optimize_max_return(s, bench, 2.0, CFG)
         assert report.infeasible
-        # round 2 returns the same weights, whose violated atom t = 51 is cut already
-        assert report.iterations["constraint_rounds"] == 2
-        assert "no new subset cut" in report.message
+        # the first round's multipliers already prove it
+        assert report.iterations["constraint_rounds"] == 1
+        assert "the cut multipliers give lambda.g(x) >= L" in report.message
         # the demo needs 4 rounds at order 2; with a budget of 1 the second round is the last
         monkeypatch.setattr(optimize, "MAX_GENERATED_CONSTRAINTS", 1)
         starved = optimize_max_return(demo, demo_benchmark, 2.0, CFG)
         assert starved.iterations["constraint_rounds"] == 2
         assert not starved.converged and not starved.infeasible
         assert "the budget of 1 cut-adding rounds ran out" in starved.message
+
+    def test_stop_without_proof_returns_the_last_weights(self, monkeypatch):
+        # the benchmark's own weights dominate it, so nothing proves infeasibility
+        monkeypatch.setattr(optimize, "MAX_GENERATED_CONSTRAINTS", 1)
+        s = ScenarioSet(sweep_instance(2))
+        bench = portfolio_return_variable(
+            s, PortfolioWeights(np.random.default_rng(2).dirichlet(np.ones(5))))
+        report = optimize_max_return(s, bench, 2.0, CFG)
+        assert not report.infeasible and not report.converged
+        assert "the budget of 1 cut-adding rounds ran out" in report.message
+        cert = verify(portfolio_return_variable(s, report.weights), bench, 2.0, CFG.constraint_tol)
+        assert report.dominance_residual == max(0.0, cert.worst_gap) > CFG.constraint_tol
 
     def test_budget_counts_only_generated_thresholds(self):
         # 60 benchmark atoms exceed the 50-threshold budget on their own

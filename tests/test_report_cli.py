@@ -19,6 +19,7 @@ from stochdom import (
     SolverConfig,
     SolveReport,
 )
+from stochdom import optimize
 from stochdom.cli import EXIT_IO, EXIT_NOT_DOMINANT, EXIT_OK, EXIT_USAGE, main
 from stochdom.report import JSON_KEYS, report_payload, render_json
 
@@ -243,6 +244,15 @@ class TestCliSolve:
         out = capsys.readouterr().out
         assert code == EXIT_NOT_DOMINANT
         assert "No allocation satisfies" in out
+
+    def test_weights_that_do_not_dominate_exit_2(self, data_csv, monkeypatch, capsys):
+        # one cut-adding round is too few for the demo at order 2: the
+        # returned weights carry their true residual, above --tol
+        monkeypatch.setattr(optimize, "MAX_GENERATED_CONSTRAINTS", 1)
+        code = main(["max-return", "--data", str(data_csv), "--order", "2", "--verbose"])
+        out = capsys.readouterr().out
+        assert code == EXIT_NOT_DOMINANT
+        assert "the budget of 1 cut-adding rounds ran out" in out
 
     def test_single_asset_infeasible_exit(self, tmp_path, capsys):
         data = tmp_path / "one.csv"
