@@ -10,15 +10,18 @@ weights until a full verification pass certifies dominance, or a round's
 cut multipliers prove that no portfolio passes it (see `_ipm`), or the
 loop stops and returns the last round's weights, which may not dominate.
 
-Every dominance cut is a row in the weights x.  Above order 2 a cut is
-the smooth moment bound E[(t - x.xi)_+^k] <= E[(t - B)_+^k] at a
-threshold t, and the loop adds the worst violated threshold.  At order 2
-dominance holds iff it holds at the benchmark atoms, and
-E[(t - x.xi)_+] is the largest of the linear sums
-sum_{j in J} p_j (t - x.xi_j) over scenario subsets J (Rudolf &
-Ruszczynski, SIAM J. Optim. 2008), so the loop adds linear subset cuts
-(t, J) with J = {j : x.xi_j < t} at the most violated atoms.  The
-min-risk objective is lifted over (x, q, u) with tail-excess rows
+The dominance cuts are one list of pairs (t, J), each a row in the
+weights x (see `_DominanceCuts`).  Above order 2, J is None and the cut
+is the smooth moment bound E[(t - x.xi)_+^k] <= E[(t - B)_+^k]; the list
+starts at the benchmark atoms above the lowest (the floor rows cover
+that one) and the loop adds the worst violated threshold.  At order 2
+dominance holds iff it holds at the benchmark atoms, and E[(t - x.xi)_+]
+is the largest of the linear sums sum_{j in J} p_j (t - x.xi_j) over
+scenario subsets J (Rudolf & Ruszczynski, SIAM J. Optim. 2008), so the
+list starts empty and the loop adds linear subset cuts (t, J), J the
+mask {j : x.xi_j < t}, at the most violated atoms.
+
+The min-risk objective is lifted over (x, q, u) with tail-excess rows
 u_j >= L_j(x) - q and u_j >= 0: at r = 1 it is q + p.u / (1 - beta)
 (Rockafellar & Uryasev, 2000), and at r > 1 it is q + eta / (1 - beta)
 with eta >= ||u||_{r,p} written as the perspective row
@@ -35,7 +38,6 @@ import numpy as np
 from .dominance import _Shortfall, verify
 from .risk import higher_order_risk, minimize_phi
 from .types import (
-    DimensionError,
     DiscreteRandomVariable,
     DomainError,
     PortfolioWeights,
@@ -53,7 +55,7 @@ from .types import (
 NEWTON_MAX_ITER = 100
 NEWTON_TOL = 1e-10
 # Constraint-generation rounds that may add cuts; one more round then solves
-# with them.  A round adds one threshold above order 2, and up to
+# with them.  A round adds one smooth cut above order 2, and up to
 # SUBSET_CUTS_PER_ROUND subset cuts at order 2.
 MAX_GENERATED_CONSTRAINTS = 50
 # Order-2 subset cuts a round adds, at the most violated benchmark atoms.
@@ -91,189 +93,93 @@ class SolveReport:
     message: str | None = None
 
 
-def _project(u: np.ndarray) -> np.ndarray:
-    """Euclidean projection onto the probability simplex (sorted threshold rule)."""
-    s = np.sort(u)[::-1]
-    css = np.cumsum(s) - 1.0
-    idx = np.arange(1, u.size + 1)
-    rho = idx[s - css / idx > 0.0][-1]
-    theta = css[rho - 1] / rho
-    return np.maximum(u - theta, 0.0)
-
-
-@dataclass(frozen=True)
-class SwarmConfig:
-    """Settings of the standalone particle swarm; no solve path uses it."""
-
-    swarm_size: int = 64
-    iterations: int = 200
-    inertia: float = 0.7
-    cognitive: float = 1.5
-    social: float = 1.5
-    rng_seed: int = 42
-
-    def __post_init__(self) -> None:
-        if self.swarm_size < 1:
-            raise DomainError("swarm_size must be >= 1")
-        if self.iterations < 0:
-            raise DomainError("iterations must be >= 0")
-        if self.rng_seed < 0:
-            raise DomainError("rng_seed must be a nonnegative integer")
-
-
-def pso_search(objective, penalty, dim: int, cfg: SwarmConfig | None = None) -> PortfolioWeights:
-    """Particle swarm over the simplex with penalized constraint violations.
-
-    Fitness is objective + mu * penalty; mu starts at 1e4 and doubles
-    whenever the incumbent stays infeasible for 10 consecutive
-    iterations.  Deterministic for a fixed cfg.rng_seed.
-    """
-    cfg = cfg or SwarmConfig()
-    if dim < 1:
-        raise DimensionError("dimension must be >= 1")
-    rng = np.random.default_rng(cfg.rng_seed)
-    S = cfg.swarm_size
-    pos = np.empty((S, dim))
-    pos[0] = 1.0 / dim
-    for i in range(1, S):
-        pos[i] = rng.dirichlet(np.ones(dim))
-    pos = np.vstack([_project(row) for row in pos])
-    vel = np.zeros_like(pos)
-
-    def _eval(row: np.ndarray) -> tuple[float, float]:
-        w = PortfolioWeights(row)
-        return float(objective(w)), float(penalty(w))
-
-    evals = [_eval(row) for row in pos]
-    pbest = pos.copy()
-    pbest_obj = np.array([e[0] for e in evals])
-    pbest_pen = np.array([e[1] for e in evals])
-    mu = 1e4
-    gi = int(np.argmin(pbest_obj + mu * pbest_pen))
-    gbest = pbest[gi].copy()
-    gobj, gpen = float(pbest_obj[gi]), float(pbest_pen[gi])
-    infeasible_run = 0
-
-    for _ in range(cfg.iterations):
-        r1 = rng.random((S, dim))
-        r2 = rng.random((S, dim))
-        vel = (
-            cfg.inertia * vel
-            + cfg.cognitive * r1 * (pbest - pos)
-            + cfg.social * r2 * (gbest[None, :] - pos)
-        )
-        pos = np.vstack([_project(row) for row in pos + vel])
-        for i in range(S):
-            o, c = _eval(pos[i])
-            if o + mu * c < pbest_obj[i] + mu * pbest_pen[i]:
-                pbest[i] = pos[i]
-                pbest_obj[i] = o
-                pbest_pen[i] = c
-        gi = int(np.argmin(pbest_obj + mu * pbest_pen))
-        if pbest_obj[gi] + mu * pbest_pen[gi] < gobj + mu * gpen:
-            gbest = pbest[gi].copy()
-            gobj, gpen = float(pbest_obj[gi]), float(pbest_pen[gi])
-        if gpen > 0.0:
-            infeasible_run += 1
-            if infeasible_run >= 10:
-                mu *= 2.0
-                infeasible_run = 0
-        else:
-            infeasible_run = 0
-    return PortfolioWeights(gbest)
+def pso_search(*args, **kwargs):
+    """Removed: no solve path runs a particle swarm.  The name remains so that
+    code wrapping it by name (perfbench/spans.py) still resolves."""
+    raise NotImplementedError("pso_search was removed; each round is solved by an interior-point method")
 
 
 class _DominanceCuts:
     """Finite family of dominance constraints in x.
 
-    Each cut is scaled by its benchmark moment so that cuts whose moments
-    differ by orders of magnitude share one scale.  Above order 2 there is
-    one smooth cut per threshold, E[(t - x.xi)_+^k] / E[(t - B)_+^k] - 1
-    <= 0.  At order 2 (k = 1) there is one linear row per subset cut
-    (t, J), sum_{j in J} p_j (t - x.xi_j) / E[(t - B)_+] - 1 <= 0, with a
-    constant Jacobian row and no curvature.
+    Each cut (t, J) is the row
+    sum_j p_j a_j (t - x.xi_j)^k / E[(t - B)_+^k] - 1 <= 0, scaled by its
+    benchmark moment so that cuts whose moments differ by orders of
+    magnitude share one scale.  Above order 2, J is None and
+    a_j = [x.xi_j < t]: the row is the smooth moment bound
+    E[(t - x.xi)_+^k] <= E[(t - B)_+^k].  At order 2 (k = 1), J is a
+    boolean mask over the scenarios and a_j = J_j: the row is a linear
+    subset cut, with a constant Jacobian row and no curvature.
 
-    Thresholds at which the benchmark shortfall moment vanishes admit no
-    strict sublevel interior (the portfolio moment is nonnegative), so
-    those collapse into per-scenario linear floor constraints
-    t - x.xi_j <= 0, which do have an interior whenever one exists.  The
-    last row is the mean condition E[benchmark] - E[x.xi] <= 0, which
-    dominance at any order p >= 2 requires.
+    Every cut threshold lies above the lowest benchmark atom min B.  At
+    min B the benchmark shortfall moment vanishes, which admits no strict
+    sublevel interior (the portfolio moment is nonnegative), so dominance
+    there is the per-scenario linear floor rows min B - x.xi_j <= 0, which
+    do have an interior whenever one exists.  The last row is the mean
+    condition E[benchmark] - E[x.xi] <= 0, which dominance at any order
+    p >= 2 requires.
     slack[i] bounds row i at any portfolio that passes `verify` at tol.
     """
 
-    def __init__(self, scenarios: ScenarioSet, benchmark: DiscreteRandomVariable, order, thresholds,
-                 tol, subsets=()):
+    def __init__(self, scenarios: ScenarioSet, benchmark: DiscreteRandomVariable, order, cuts, tol):
         self.xi = scenarios.returns
         self.p = scenarios.scenario_probabilities
         self.mr = scenarios.mean_returns()
         self.bench_mean = mean(benchmark)
         self.k = order_value(order) - 1.0
-        ts = np.unique(np.asarray(thresholds, dtype=float))
-        if ts.size == 0:
-            raise DomainError("threshold set must be nonempty")
-        bench = _Shortfall(self.k, benchmark)(ts)
-        smooth = bench > 0.0
-        smooth_cut = smooth & (self.k != 1.0)     # order 2 cuts these thresholds by subsets
-        self.ts = ts[smooth_cut]
-        self.bench = bench[smooth_cut]
-        self.floor_t = float(ts[~smooth].max()) if bool((~smooth).any()) else None
         self.d, self.n = self.xi.shape
-        # subset cut (t, J) as the row lin0 + lin.x
-        sub_t = np.array([t for t, _ in subsets], dtype=float)
-        pj = np.array([J for _, J in subsets], dtype=bool).reshape(sub_t.size, self.n) * self.p
-        scale = 1.0 / _Shortfall(1.0, benchmark)(sub_t)
-        self.lin = -(pj @ self.xi.T) * scale[:, None]
-        self.lin0 = sub_t * pj.sum(axis=1) * scale - 1.0
-        floor = (tol / self.p) ** (1.0 / self.k) if self.floor_t is not None else []
+        self.floor = float(benchmark.outcomes[0])
+        # rows in ascending t (stable), so that the model does not depend on the order the
+        # cuts came in: each Newton solve's rounding, and at times a round's iteration
+        # count, depends on the order of the rows
+        cuts = sorted(cuts, key=lambda c: c[0])
+        self.ts = np.array([t for t, _ in cuts], dtype=float)
+        self.subset = np.array([J is not None for _, J in cuts], dtype=bool)
+        self.J = np.array([np.zeros(self.n, bool) if J is None else J for _, J in cuts],
+                          dtype=bool).reshape(-1, self.n)
+        # a fractional-order moment rounds differently with the other thresholds
+        # of its sweep block, so every cut's moment comes from one sorted array
+        grid = np.unique(np.append(self.floor, self.ts))
+        self.bench = _Shortfall(self.k, benchmark)(grid)[np.searchsorted(grid, self.ts)]
         # above order 2 verify lets the mean fall short by tol times the support width
         mean_slack = tol if self.k == 1.0 else tol * np.ptp(np.append(self.xi, benchmark.outcomes))
-        self.slack = np.concatenate([tol / self.bench, tol * scale, floor, [mean_slack]])
+        self.slack = np.concatenate([tol / self.bench, (tol / self.p) ** (1.0 / self.k), [mean_slack]])
 
     @property
     def m(self) -> int:
-        return self.ts.size + self.lin0.size + (self.n if self.floor_t is not None else 0) + 1
+        return self.ts.size + self.n + 1
 
-    def values(self, x: np.ndarray) -> np.ndarray:
+    def _terms(self, x: np.ndarray):
+        """x.xi, t_i - x.xi_j and the cut indicators a_ij."""
         out = x @ self.xi
-        parts = []
-        if self.ts.size:
-            diff = np.maximum(self.ts[:, None] - out[None, :], 0.0)
-            parts.append((diff**self.k) @ self.p / self.bench - 1.0)
-        parts.append(self.lin0 + self.lin @ x)
-        if self.floor_t is not None:
-            parts.append(self.floor_t - out)
-        parts.append([self.bench_mean - float(self.mr @ x)])
-        return np.concatenate(parts)
+        diff = self.ts[:, None] - out[None, :]
+        return out, diff, np.where(self.subset[:, None], self.J, diff > 0.0)
 
-    def jac(self, x: np.ndarray) -> np.ndarray:
-        out = x @ self.xi
-        parts = []
-        if self.ts.size:
-            raw = np.maximum(self.ts[:, None] - out[None, :], 0.0)
-            w = self.k * raw ** (self.k - 1.0)
-            parts.append(-((w * self.p[None, :]) @ self.xi.T) / self.bench[:, None])
-        parts.append(self.lin)
-        if self.floor_t is not None:
-            parts.append(-self.xi.T)
-        parts.append(-self.mr[None, :])
-        return np.vstack(parts)
+    def rows(self, x: np.ndarray):
+        """Values and Jacobian of the rows."""
+        out, diff, a = self._terms(x)
+        base = np.where(a, diff, 0.0)
+        cut = (base**self.k) @ self.p / self.bench - 1.0
+        # times a: at k = 1, 0^0 = 1 off the subset
+        w = self.k * base ** (self.k - 1.0) * a
+        return (np.concatenate([cut, self.floor - out, [self.bench_mean - float(self.mr @ x)]]),
+                np.vstack([-((w * self.p[None, :]) @ self.xi.T) / self.bench[:, None],
+                           -self.xi.T, -self.mr[None, :]]))
 
     def hess(self, x: np.ndarray, lam: np.ndarray) -> np.ndarray:
-        """Multiplier-weighted sum of cut Hessians (subset, floor and mean rows are linear)."""
-        if not self.ts.size:
+        """Multiplier-weighted sum of cut Hessians (the floor and mean rows are linear)."""
+        if self.k == 1.0:   # order 2: k (k - 1) = 0, every cut is linear
             return np.zeros((self.d, self.d))
+        _, diff, a = self._terms(x)
         lam_s = lam[: self.ts.size] / self.bench
-        raw = self.ts[:, None] - (x @ self.xi)[None, :]
-        active = raw > 0.0
         expo = self.k - 2.0
         if expo < 0.0:
             # curvature of (.)^k is integrably singular at the kink for
             # k < 2; clamping keeps the Hessian finite
-            base = np.where(active, np.maximum(raw, 1e-10), 1.0)
+            base = np.where(a, np.maximum(diff, 1e-10), 1.0)
         else:
-            base = np.where(active, raw, 0.0)
-        pw = np.where(active, base**expo, 0.0)
+            base = np.where(a, diff, 0.0)
+        pw = np.where(a, base**expo, 0.0)
         coef = self.k * (self.k - 1.0) * ((lam_s[:, None] * pw) * self.p[None, :]).sum(axis=0)
         return (self.xi * coef[None, :]) @ self.xi.T
 
@@ -287,16 +193,16 @@ class _Model:
       expected loss at beta = 0, q + c p.u at r = 1 and q + c eta at r > 1,
       with c = 1 / (1 - beta).
     - Bounds x, u, eta >= 0 and the simplex row sum(x) = 1.
-    - Dense rows g(y) <= 0: the cuts in x (smooth or subset cuts, floor
-      rows, the mean row), then for a risk objective L_j(x) - q - u_j <= 0
-      and, at r > 1, the perspective row sum_j p_j u_j^r eta^(1 - r) - eta
-      <= 0, that is eta >= ||u||_{r,p}.  At an optimum u = (L - q)_+ and
-      eta = ||u||_{r,p}, so the objective is phi(q) of the risk measure.
+    - Dense rows g(y) <= 0: the rows of `_DominanceCuts` in x (the cuts,
+      the floor rows, the mean row), then for a risk objective
+      L_j(x) - q - u_j <= 0 and, at r > 1, the perspective row
+      sum_j p_j u_j^r eta^(1 - r) - eta <= 0, that is eta >= ||u||_{r,p}.
+      At an optimum u = (L - q)_+ and eta = ||u||_{r,p}, so the objective
+      is phi(q) of the risk measure.
     """
 
-    def __init__(self, s: ScenarioSet, benchmark, order, spec: RiskSpec | None, thresholds, tol,
-                 subsets=()):
-        self.cuts = cuts = _DominanceCuts(s, benchmark, order, thresholds, tol, subsets)
+    def __init__(self, s: ScenarioSet, benchmark, order, spec: RiskSpec | None, cuts, tol):
+        self.cuts = _DominanceCuts(s, benchmark, order, cuts, tol)
         self.probs = s.scenario_probabilities
         self.d, self.n = d, n = s.d, s.n
         if spec is None or spec.beta == 0.0:
@@ -312,15 +218,16 @@ class _Model:
             self.cost = np.concatenate([np.zeros(d), [1.0], *tail])
         self.N = N = self.cost.size
         self.bounded = np.r_[0:d, d + 1 : N]
-        self.m = cuts.m + (0 if self.r is None else n + (self.r > 1.0))
+        self.m = self.cuts.m + (0 if self.r is None else n + (self.r > 1.0))
 
     def rows(self, y: np.ndarray):
         """Values and Jacobian of the dense rows."""
         d, n, x = self.d, self.n, y[: self.d]
-        g = [self.cuts.values(x)]
+        gc, Jc = self.cuts.rows(x)
+        g = [gc]
         J = np.zeros((self.m, self.N))
         mc = self.cuts.m
-        J[:mc, :d] = self.cuts.jac(x)
+        J[:mc, :d] = Jc
         if self.r is not None:
             q, u = y[d], y[d + 1 : d + 1 + n]
             g.append(x @ self.loss - q - u)
@@ -541,18 +448,17 @@ def _ipm(model: _Model) -> _IPMResult:
     return _IPMResult(y, converged, k, message, certificate)
 
 
-def newton_refine(s: ScenarioSet, benchmark, order, spec: RiskSpec | None, thresholds, tol,
-                  subsets=()):
-    """Solve one round's model over a finite threshold set from equal weights.
+def newton_refine(s: ScenarioSet, benchmark, order, spec: RiskSpec | None, cuts, tol):
+    """Solve one round's model over a finite list of cuts from equal weights.
 
-    At order 2 the thresholds give only the floor rows, and the cuts are
-    the subset cuts (t, J) in subsets, J a boolean mask over the
-    scenarios, and tol is the tolerance of `verify`.  Returns the weights
-    (clipped and renormalized onto the simplex), the lifted q for a
-    min-risk problem with beta > 0 (None otherwise), and the interior-point
-    result with `converged`, `iterations`, `message` and `certificate`.
+    cuts holds the pairs (t, J) of `_DominanceCuts`: J is None above order
+    2 and a boolean mask over the scenarios at order 2.  tol is the
+    tolerance of `verify`.  Returns the weights (clipped and renormalized
+    onto the simplex), the lifted q for a min-risk problem with beta > 0
+    (None otherwise), and the interior-point result with `converged`,
+    `iterations`, `message` and `certificate`.
     """
-    model = _Model(s, benchmark, order, spec, thresholds, tol, subsets)
+    model = _Model(s, benchmark, order, spec, cuts, tol)
     res = _ipm(model)
     x = np.maximum(res.y[: s.d], 0.0)
     return PortfolioWeights(x / x.sum()), (None if model.r is None else float(res.y[s.d])), res
@@ -585,49 +491,51 @@ def _constraint_generation(s, benchmark, p, cfg, spec) -> SolveReport:
             "the optimizer requires stochastic order >= 2; orders in [1, 2) are verification-only"
         )
     tol = cfg.constraint_tol
-    thresholds = [float(t) for t in np.unique(benchmark.outcomes)]
-    subsets = []
+    lowest = float(benchmark.outcomes[0])
+    # order 2 starts with no cut; above it, one smooth cut at each atom above the lowest
+    cuts = [] if p == 2.0 else [(float(t), None) for t in benchmark.outcomes[1:]]
     iterations = {"newton": 0, "constraint_rounds": 0}
     no_alloc = f"no allocation dominates the benchmark at order {p:g} within tolerance {tol:g}"
     if s.d == 1:    # the simplex is the single point x = (1), so its verify decides
         w = PortfolioWeights([1.0])
         cert = verify(portfolio_return_variable(s, w), benchmark, p, tol)
         ok = cert.worst_gap <= tol
-        return _report(s, benchmark, p, spec, w if ok else None, cert, thresholds, iterations, ok,
+        return _report(s, benchmark, p, spec, w if ok else None, cert, cuts, iterations, ok,
                        None if ok else f"{no_alloc}; least violated gap: {cert.worst_gap:.6e}")
     while True:
         iterations["constraint_rounds"] += 1
-        w, _, res = newton_refine(s, benchmark, p, spec, thresholds, tol, subsets)
+        w, _, res = newton_refine(s, benchmark, p, spec, cuts, tol)
         iterations["newton"] += res.iterations
         if res.certificate is not None:
             L, allowed = res.certificate
-            return _report(s, benchmark, p, spec, None, None, thresholds, iterations, False,
+            return _report(s, benchmark, p, spec, None, None, cuts, iterations, False,
                            f"{no_alloc}: the cut multipliers give lambda.g(x) >= L = {L:.6e} "
                            f"on the simplex, above lambda.s = {allowed:.6e}, its bound if dominant")
         port = portfolio_return_variable(s, w)
         cert = verify(port, benchmark, p, tol)
         gap = max(0.0, cert.worst_gap)
         if gap <= tol:
-            return _report(s, benchmark, p, spec, w, cert, thresholds, iterations, res.converged,
+            return _report(s, benchmark, p, spec, w, cert, cuts, iterations, res.converged,
                            res.message)
         stop = None
         if p == 2.0:
-            new = _subset_cuts(s, benchmark, w, port, tol, subsets)
+            new = _subset_cuts(s, benchmark, w, port, tol, cuts)
             if not new:
                 stop = "no new subset cut: every violated atom's cut (t, J) is already in the model"
         else:
-            new = [float(cert.worst_t)]
-            if any(abs(new[0] - t) <= 1e-9 * max(1.0, abs(new[0])) for t in thresholds):
-                stop = f"the worst threshold t = {new[0]:.10g} repeats a cut"
+            t = float(cert.worst_t)
+            new = [(t, None)]
+            if any(abs(t - c) <= 1e-9 * max(1.0, abs(t)) for c in [lowest, *(c for c, _ in cuts)]):
+                stop = f"the worst threshold t = {t:.10g} repeats a cut"
         if stop is None and iterations["constraint_rounds"] > MAX_GENERATED_CONSTRAINTS:
             stop = f"the budget of {MAX_GENERATED_CONSTRAINTS} cut-adding rounds ran out"
         if stop is not None:
-            return _report(s, benchmark, p, spec, w, cert, thresholds, iterations, False,
+            return _report(s, benchmark, p, spec, w, cert, cuts, iterations, False,
                            f"constraint generation stopped ({stop}); verify fails by {gap:.3e}")
-        (subsets if p == 2.0 else thresholds).extend(new)
+        cuts.extend(new)
 
 
-def _subset_cuts(s, benchmark, w, port, tol, subsets) -> list:
+def _subset_cuts(s, benchmark, w, port, tol, cuts) -> list:
     """New order-2 subset cuts (t, J) at the weights w, whose return variable is port.
 
     The shortfall gap E[(t - x.xi)_+] - E[(t - B)_+] is evaluated at every
@@ -635,14 +543,14 @@ def _subset_cuts(s, benchmark, w, port, tol, subsets) -> list:
     floor rows cover).  At most SUBSET_CUTS_PER_ROUND atoms with a gap
     above tol, most violated relative to E[(t - B)_+] (the scale of the
     cut rows) first, each give J = {j : x.xi_j < t}, the subset on which
-    the cut is tight at w; a (t, J) already in subsets is skipped.
+    the cut is tight at w; a (t, J) already in cuts is skipped.
     """
     ts = np.unique(benchmark.outcomes)[1:]
     gaps = _Shortfall(1.0, port, benchmark)(ts)
     viol = np.flatnonzero(gaps > tol)
     rel = gaps[viol] / _Shortfall(1.0, benchmark)(ts[viol])
     out = w.weights @ s.returns
-    seen = {(t, J.tobytes()) for t, J in subsets}
+    seen = {(t, J.tobytes()) for t, J in cuts}
     new = []
     for i in viol[np.argsort(-rel, kind="stable")]:
         t, J = float(ts[i]), out < ts[i]
@@ -653,8 +561,7 @@ def _subset_cuts(s, benchmark, w, port, tol, subsets) -> list:
     return new
 
 
-def _report(s, benchmark, p, spec, w, cert, thresholds, iterations, converged,
-            message) -> SolveReport:
+def _report(s, benchmark, p, spec, w, cert, cuts, iterations, converged, message) -> SolveReport:
     """Report of the weights w with their certificate cert; w None means infeasible."""
     if w is None:
         return SolveReport(
@@ -664,8 +571,10 @@ def _report(s, benchmark, p, spec, w, cert, thresholds, iterations, converged,
             iterations=iterations, infeasible=True, message=message,
         )
     port = portfolio_return_variable(s, w)
-    # the worst threshold, then the thresholds whose gap is within 1e-6 of active, worst first
-    ts = np.asarray(thresholds, dtype=float)
+    # of the benchmark atoms and then the thresholds added above order 2 (order-2
+    # cuts sit at atoms), the worst, then those whose gap is within 1e-6 of active, worst first
+    atoms = benchmark.outcomes
+    ts = atoms if p == 2.0 else np.append(atoms[0], [t for t, _ in cuts])
     gaps = _Shortfall(p - 1.0, port, benchmark)(ts)
     active = [float(cert.worst_t)]
     for i in np.argsort(-gaps, kind="stable"):

@@ -3,6 +3,7 @@ and a deterministic SVG allocation chart."""
 
 from __future__ import annotations
 
+import json
 import math
 
 import numpy as np
@@ -24,27 +25,6 @@ _PALETTE = (
 
 def _fmt_order(p: float) -> str:
     return format(float(p), "g")
-
-
-def _json_value(v) -> str:
-    if v is None:
-        return "null"
-    if isinstance(v, bool):
-        return "true" if v else "false"
-    if isinstance(v, (int, np.integer)):
-        return str(int(v))
-    if isinstance(v, (float, np.floating)):
-        # 17 significant digits round-trip IEEE doubles exactly
-        return format(float(v), ".17g")
-    if isinstance(v, str):
-        escaped = v.replace("\\", "\\\\").replace('"', '\\"')
-        return f'"{escaped}"'
-    if isinstance(v, dict):
-        inner = ", ".join(f'{_json_value(k)}: {_json_value(val)}' for k, val in v.items())
-        return "{" + inner + "}"
-    if isinstance(v, (list, tuple, np.ndarray)):
-        return "[" + ", ".join(_json_value(item) for item in v) + "]"
-    raise TypeError(f"cannot serialize {type(v)!r}")
 
 
 def report_payload(report, command: str, order: float, seed: int | None) -> dict:
@@ -84,7 +64,7 @@ def report_payload(report, command: str, order: float, seed: int | None) -> dict
 
 
 def render_json(payload: dict) -> str:
-    return _json_value(payload) + "\n"
+    return json.dumps(payload) + "\n"
 
 
 def render_text(report, *, order: float, verbose: bool = False, asset_labels=None) -> str:
@@ -115,7 +95,11 @@ def render_text(report, *, order: float, verbose: bool = False, asset_labels=Non
 
     w = r.weights.weights
     labels = list(asset_labels) if asset_labels is not None else [f"Asset_{i + 1}" for i in range(w.size)]
-    lines.append(f"Optimal allocation (stochastic order {p}):")
+    if r.converged:
+        lines.append(f"Optimal allocation (stochastic order {p}):")
+    else:
+        lines.append(f"Allocation not certified as optimal and dominant (stochastic order {p}):")
+        lines.append(f"Reason: {r.message}")
     for label, wi in zip(labels, w):
         lines.append(f"  {label:<12s} {100.0 * wi:6.1f}%")
     lines.append(
@@ -132,8 +116,6 @@ def render_text(report, *, order: float, verbose: bool = False, asset_labels=Non
             "Iterations: newton={newton} constraint_rounds={constraint_rounds}".format(**it)
         )
         lines.append(f"Converged: {str(r.converged).lower()}")
-        if r.message:
-            lines.append(f"Reason: {r.message}")
     return "\n".join(lines) + "\n"
 
 

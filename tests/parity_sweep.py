@@ -35,8 +35,14 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from pathlib import Path
+
+# one BLAS thread, set before numpy loads: an interior-point round's rounding,
+# and with it at times whether it converges, depends on the thread count
+os.environ["OPENBLAS_NUM_THREADS"] = "1"
+os.environ["OMP_NUM_THREADS"] = "1"
 
 import numpy as np
 

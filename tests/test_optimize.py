@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from stochdom import (
-    DimensionError,
     DiscreteRandomVariable,
     DomainError,
     PortfolioWeights,
@@ -18,7 +17,6 @@ from stochdom import (
     verify,
 )
 from stochdom import optimize
-from stochdom.optimize import SwarmConfig, _project, pso_search
 from stochdom.report import render_text
 from tests.oracles import (
     cvar_order2_lp,
@@ -62,41 +60,6 @@ def two_asset_instance(rng: np.random.Generator, slack: float = 0.0):
     return s, bench, wb
 
 
-class TestProjectToSimplex:
-    """The Euclidean simplex projection that pso_search applies to every particle."""
-
-    def test_identity_on_simplex(self):
-        w = np.array([0.2, 0.5, 0.3])
-        assert np.allclose(_project(w), w, atol=1e-12)
-
-    def test_two_dim_clamp(self):
-        got = _project(np.array([2.0, 0.0]))
-        assert np.allclose(got, [1.0, 0.0], atol=1e-12)
-        # brute-force check: nothing on the segment is closer
-        grid = np.linspace(0.0, 1.0, 100001)
-        dists = (grid - 2.0) ** 2 + (1.0 - grid) ** 2
-        best = grid[np.argmin(dists)]
-        assert got[0] == pytest.approx(best, abs=1e-4)
-
-    def test_symmetry(self):
-        assert np.allclose(_project(np.array([0.6, 0.6])), [0.5, 0.5], atol=1e-15)
-
-    def test_idempotent_random(self):
-        rng = np.random.default_rng(2)
-        for _ in range(25):
-            v = rng.normal(0, 2, int(rng.integers(1, 8)))
-            once = _project(v)
-            twice = _project(once)
-            assert np.allclose(once, twice, atol=1e-12)
-            assert once.min() >= 0.0
-            assert once.sum() == pytest.approx(1.0, abs=1e-9)
-
-    def test_rejects_empty(self):
-        # the swarm never projects an empty vector: it rejects dimension 0 first
-        with pytest.raises(DimensionError):
-            pso_search(lambda w: 0.0, lambda w: 0.0, 0)
-
-
 class TestSolverConfig:
     def test_defaults(self):
         cfg = SolverConfig()
@@ -113,60 +76,13 @@ class TestSolverConfig:
                 SolverConfig(constraint_tol=tol)
 
 
-class TestPsoSearch:
-    def test_swarm_config_zero_iterations_allowed(self):
-        assert SwarmConfig(iterations=0).iterations == 0
-        with pytest.raises(DomainError):
-            SwarmConfig(swarm_size=0)
-
-    def test_concentrates_on_dominating_asset(self):
-        returns = np.array([[2.0, 3.0, 1.5, 2.5], [1.0, 1.2, 0.8, 0.9]])
-        s = ScenarioSet(returns)
-        mr = s.mean_returns()
-
-        def objective(w):
-            return -float(w.weights @ mr)
-
-        best = pso_search(objective, lambda w: 0.0, 2, SwarmConfig())
-        # exhaustive grid over the 2-simplex agrees
-        grid = np.linspace(0, 1, 10001)
-        means = grid * mr[0] + (1 - grid) * mr[1]
-        expected = grid[np.argmax(means)]
-        assert abs(best.weights[0] - expected) < 1e-3
-
-    def test_zero_iteration_budget_returns_projected_start(self):
-        cfg = SwarmConfig(swarm_size=1, iterations=0)
-        got = pso_search(lambda w: 0.0, lambda w: 0.0, 3, cfg)
-        assert np.allclose(got.weights, 1.0 / 3, atol=1e-15)
-
-    def test_deterministic_for_fixed_seed(self):
-        returns = np.array([[0.5, -0.3, 0.8], [0.2, 0.4, -0.1]])
-        s = ScenarioSet(returns)
-        mr = s.mean_returns()
-        cfg = SwarmConfig(swarm_size=8, iterations=25, rng_seed=7)
-        a = pso_search(lambda w: -float(w.weights @ mr), lambda w: 0.0, 2, cfg)
-        b = pso_search(lambda w: -float(w.weights @ mr), lambda w: 0.0, 2, cfg)
-        assert np.array_equal(a.weights, b.weights)
-
-    def test_penalty_steers_to_feasible_region(self):
-        # objective prefers asset 1, penalty forbids weight above 0.5 on it
-        def objective(w):
-            return -float(w.weights[0])
-
-        def penalty(w):
-            return max(0.0, float(w.weights[0]) - 0.5)
-
-        best = pso_search(objective, penalty, 2, SwarmConfig())
-        assert best.weights[0] == pytest.approx(0.5, abs=1e-2)
-
-
 class TestNewtonRefine:
     def test_inactive_cuts_give_best_vertex(self):
         returns = np.array([[1.0, 2.0, 3.0, 0.5], [0.2, 1.0, 0.4, 0.1], [0.5, 0.3, 0.2, 0.9]])
         s = ScenarioSet(returns)
         bench = DiscreteRandomVariable([-10.0, -9.0], [0.5, 0.5])
-        thresholds = [float(t) for t in bench.outcomes]
-        w, q, res = optimize.newton_refine(s, bench, 3.0, None, thresholds, 1e-8)
+        cuts = [(float(t), None) for t in bench.outcomes[1:]]
+        w, q, res = optimize.newton_refine(s, bench, 3.0, None, cuts, 1e-8)
         best = int(np.argmax(s.mean_returns()))
         expected = np.zeros(3)
         expected[best] = 1.0
@@ -176,9 +92,9 @@ class TestNewtonRefine:
 
     def test_iteration_limit_names_the_stop(self, demo, demo_benchmark, monkeypatch):
         monkeypatch.setattr(optimize, "NEWTON_MAX_ITER", 2)
-        thresholds = [float(t) for t in np.unique(demo_benchmark.outcomes)]
+        cuts = [(float(t), None) for t in demo_benchmark.outcomes[1:]]
         spec = RiskSpec(0.5, 2.0)
-        _, q, res = optimize.newton_refine(demo, demo_benchmark, 4.7, spec, thresholds, 1e-8)
+        _, q, res = optimize.newton_refine(demo, demo_benchmark, 4.7, spec, cuts, 1e-8)
         assert q is not None and res.iterations == 2
         assert not res.converged
         assert "iteration limit" in res.message and "above NEWTON_TOL" in res.message
@@ -189,8 +105,8 @@ class TestNewtonRefine:
         # residual stalls near 3.3e-6
         s = ScenarioSet(sweep_instance(12))
         bench = equal_weight_benchmark(s)
-        thresholds = [float(t) for t in np.unique(bench.outcomes)]
-        _, _, res = optimize.newton_refine(s, bench, 2.5, RiskSpec(0.2, 1.5), thresholds, 1e-8)
+        cuts = [(float(t), None) for t in bench.outcomes[1:]]
+        _, _, res = optimize.newton_refine(s, bench, 2.5, RiskSpec(0.2, 1.5), cuts, 1e-8)
         assert not res.converged
         assert "with dual residual above NEWTON_TOL" in res.message
 

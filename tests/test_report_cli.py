@@ -254,6 +254,15 @@ class TestCliSolve:
         assert code == EXIT_NOT_DOMINANT
         assert "the budget of 1 cut-adding rounds ran out" in out
 
+    def test_unconverged_weights_say_why_without_verbose(self, data_csv, monkeypatch, capsys):
+        monkeypatch.setattr(optimize, "MAX_GENERATED_CONSTRAINTS", 1)
+        code = main(["max-return", "--data", str(data_csv), "--order", "2"])
+        out = capsys.readouterr().out
+        assert code == EXIT_NOT_DOMINANT
+        assert "the budget of 1 cut-adding rounds ran out" in out
+        assert "not certified" in out
+        assert "Optimal allocation" not in out
+
     def test_single_asset_infeasible_exit(self, tmp_path, capsys):
         data = tmp_path / "one.csv"
         data.write_text("A\n1.0\n2.0\n3.0\n", encoding="utf-8")
