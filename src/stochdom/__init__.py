@@ -10,15 +10,13 @@ from .dominance import (
     lower_partial_moment,
     verify,
 )
-from .optimize import SolveReport, SolverConfig, optimize_max_return, optimize_min_risk
+from .optimize import SolveReport, optimize_max_return, optimize_min_risk
 from .report import emit_plot, emit_report
 from .risk import RiskValue, higher_order_risk, risk_gradient_in_weights
 from .types import (
     DimensionError,
     DiscreteRandomVariable,
     DomainError,
-    DominanceOrder,
-    LossSign,
     PortfolioWeights,
     RiskSpec,
     ScenarioSet,
@@ -29,13 +27,13 @@ from .types import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "DiscreteRandomVariable", "ScenarioSet", "PortfolioWeights", "DominanceOrder",
-    "RiskSpec", "LossSign", "DomainError", "DimensionError",
+    "DiscreteRandomVariable", "ScenarioSet", "PortfolioWeights",
+    "RiskSpec", "DomainError", "DimensionError",
     "portfolio_return_variable", "mean",
     "DominanceCertificate", "lower_partial_moment",
     "dominance_gap_at", "critical_thresholds", "verify",
     "RiskValue", "higher_order_risk", "risk_gradient_in_weights",
-    "SolverConfig", "SolveReport", "optimize_max_return", "optimize_min_risk",
+    "SolveReport", "optimize_max_return", "optimize_min_risk",
     "load_scenarios", "load_variable", "load_weights", "dump_scenarios",
     "demo_scenarios", "write_demo_csv",
     "emit_report", "emit_plot",

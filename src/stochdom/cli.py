@@ -14,7 +14,7 @@ import sys
 
 from .dataio import load_scenarios, load_variable, load_weights
 from .dominance import DEFAULT_VERIFY_TOL, verify
-from .optimize import SolverConfig, optimize_max_return, optimize_min_risk
+from .optimize import optimize_max_return, optimize_min_risk
 from .report import emit_plot, emit_report
 from .types import (
     DomainError,
@@ -68,7 +68,7 @@ def build_parser() -> argparse.ArgumentParser:
                            help="CSV of benchmark return outcomes (own scenario space)")
         sp.add_argument("--prob-col", dest="prob_col", default=None, metavar="NAME",
                         help="column holding scenario probabilities (default: uniform)")
-        sp.add_argument("--tol", type=float, default=1e-8, help="dominance constraint tolerance")
+        sp.add_argument("--tol", type=float, default=DEFAULT_VERIFY_TOL, help="dominance constraint tolerance")
         sp.add_argument("--seed", type=int, default=42,
                         help="recorded in the JSON report; solves are deterministic")
         sp.add_argument("--plot", default=None, metavar="FILE", help="write an SVG allocation chart")
@@ -112,11 +112,10 @@ def _cmd_solve(ns: argparse.Namespace) -> int:
         benchmark = load_variable(ns.benchmark_series)
     else:
         benchmark = portfolio_return_variable(s, PortfolioWeights.equal(s.d))
-    cfg = SolverConfig(constraint_tol=ns.tol)
     if ns.command == "min-risk":
-        result = optimize_min_risk(s, benchmark, ns.order, RiskSpec(ns.beta, ns.r), cfg)
+        result = optimize_min_risk(s, benchmark, ns.order, RiskSpec(ns.beta, ns.r), tol=ns.tol)
     else:
-        result = optimize_max_return(s, benchmark, ns.order, cfg)
+        result = optimize_max_return(s, benchmark, ns.order, tol=ns.tol)
     text = emit_report(
         result, ns.verbose, command=ns.command, order=ns.order, seed=seed,
         json_path=ns.json, asset_labels=s.asset_labels,

@@ -82,10 +82,10 @@ def dump_scenarios(s: ScenarioSet, path) -> None:
     table, labels, p = s.returns, s.asset_labels, s.scenario_probabilities
     if np.any(p != p[0]):
         table, labels = np.vstack([table, p]), (*labels, "probability")
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(labels) + "\n")
-        for j in range(s.n):
-            fh.write(",".join(format(v, ".17g") for v in table[:, j]) + "\n")
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        out = csv.writer(fh, lineterminator="\n")
+        out.writerow(labels)
+        out.writerows([format(v, ".17g") for v in col] for col in table.T)
 
 
 def load_variable(path) -> DiscreteRandomVariable:

@@ -35,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dominance import _Shortfall, verify
+from .dominance import DEFAULT_VERIFY_TOL, _Shortfall, verify
 from .risk import higher_order_risk, minimize_phi
 from .types import (
     DiscreteRandomVariable,
@@ -60,17 +60,6 @@ NEWTON_TOL = 1e-10
 MAX_GENERATED_CONSTRAINTS = 50
 # Order-2 subset cuts a round adds, at the most violated benchmark atoms.
 SUBSET_CUTS_PER_ROUND = 10
-
-
-@dataclass(frozen=True)
-class SolverConfig:
-    """constraint_tol is the dominance tolerance every returned portfolio is verified to."""
-
-    constraint_tol: float = 1e-8
-
-    def __post_init__(self) -> None:
-        if not (np.isfinite(self.constraint_tol) and self.constraint_tol > 0):
-            raise DomainError(f"constraint_tol must be finite and > 0, got {self.constraint_tol!r}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -208,10 +197,9 @@ class _Model:
         if spec is None or spec.beta == 0.0:
             # max-return, or the expected loss, which is the risk at beta = 0 for every r
             self.r = None
-            sign = -1.0 if spec is None else spec.sign
-            self.cost = sign * s.mean_returns()
+            self.cost = RiskSpec.losses(s.mean_returns())
         else:
-            self.r, self.loss, c = spec.r, spec.sign * s.returns, 1.0 / (1.0 - spec.beta)
+            self.r, self.loss, c = spec.r, spec.losses(s.returns), 1.0 / (1.0 - spec.beta)
             equal = spec.losses(np.full(d, 1.0 / d) @ s.returns)
             self.q_start = minimize_phi(equal, self.probs, spec.beta, spec.r).q_star
             tail = [c * self.probs] if self.r == 1.0 else [np.zeros(n), [c]]
@@ -465,10 +453,13 @@ def newton_refine(s: ScenarioSet, benchmark, order, spec: RiskSpec | None, cuts,
 
 
 def optimize_max_return(
-    s: ScenarioSet, benchmark: DiscreteRandomVariable, p, cfg: SolverConfig | None = None
+    s: ScenarioSet, benchmark: DiscreteRandomVariable, p, tol: float = DEFAULT_VERIFY_TOL
 ) -> SolveReport:
-    """Maximize expected return subject to dominance over the benchmark at order p."""
-    return _constraint_generation(s, benchmark, p, cfg or SolverConfig(), None)
+    """Maximize expected return subject to dominance over the benchmark at order p.
+
+    tol is the dominance tolerance the returned portfolio is verified to.
+    """
+    return _constraint_generation(s, benchmark, p, tol, None)
 
 
 def optimize_min_risk(
@@ -476,21 +467,22 @@ def optimize_min_risk(
     benchmark: DiscreteRandomVariable,
     p,
     spec: RiskSpec,
-    cfg: SolverConfig | None = None,
+    tol: float = DEFAULT_VERIFY_TOL,
 ) -> SolveReport:
-    """Minimize the higher-order risk measure subject to dominance at order p."""
+    """Minimize the higher-order risk measure subject to dominance at order p, verified to tol."""
     if not isinstance(spec, RiskSpec):
         raise DomainError("spec must be a RiskSpec")
-    return _constraint_generation(s, benchmark, p, cfg or SolverConfig(), spec)
+    return _constraint_generation(s, benchmark, p, tol, spec)
 
 
-def _constraint_generation(s, benchmark, p, cfg, spec) -> SolveReport:
+def _constraint_generation(s, benchmark, p, tol, spec) -> SolveReport:
     p = order_value(p)
     if p < 2.0:
         raise DomainError(
             "the optimizer requires stochastic order >= 2; orders in [1, 2) are verification-only"
         )
-    tol = cfg.constraint_tol
+    if not (np.isfinite(tol) and tol > 0):
+        raise DomainError(f"tol must be finite and > 0, got {tol!r}")
     lowest = float(benchmark.outcomes[0])
     # order 2 starts with no cut; above it, one smooth cut at each atom above the lowest
     cuts = [] if p == 2.0 else [(float(t), None) for t in benchmark.outcomes[1:]]

@@ -144,8 +144,9 @@ def _wedge_path(cx, cy, radius, frac0, frac1) -> str:
 
 
 def emit_plot(report: SolveReport, path, asset_labels=None) -> None:
-    """Write a self-contained SVG pie chart of the optimal allocation.
+    """Write a self-contained SVG pie chart of the allocation.
 
+    Unconverged weights are titled as not certified optimal and dominant.
     Byte output is deterministic for identical reports.
     """
     if report.infeasible or report.weights is None:
@@ -161,7 +162,11 @@ def emit_plot(report: SolveReport, path, asset_labels=None) -> None:
         'viewBox="0 0 640 420" font-family="Helvetica, Arial, sans-serif">'
     )
     parts.append('<rect width="640" height="420" fill="#ffffff"/>')
-    parts.append('<text x="20" y="30" font-size="16" fill="#222222">Optimal allocation</text>')
+    if report.converged:
+        title, return_label = "Optimal allocation", "Optimized expected return"
+    else:
+        title, return_label = "Allocation not certified as optimal and dominant", "Expected return"
+    parts.append(f'<text x="20" y="30" font-size="16" fill="#222222">{title}</text>')
 
     if fracs.max() >= 1.0 - 1e-12:
         i = int(np.argmax(fracs))
@@ -191,7 +196,7 @@ def emit_plot(report: SolveReport, path, asset_labels=None) -> None:
     anno_y = 382
     parts.append(
         f'<text x="20" y="{anno_y}" font-size="14" fill="#222222">'
-        f'Optimized expected return: {report.expected_return:.4g}%   '
+        f'{return_label}: {report.expected_return:.4g}%   '
         f'Benchmark return: {report.benchmark_return:.4g}%</text>'
     )
     if report.risk_value is not None:

@@ -16,6 +16,7 @@ import numpy as np
 from .types import (
     DimensionError,
     DiscreteRandomVariable,
+    DomainError,
     PortfolioWeights,
     RiskSpec,
     ScenarioSet,
@@ -134,8 +135,8 @@ def minimize_phi(L: np.ndarray, p: np.ndarray, beta: float, r: float) -> RiskVal
 def higher_order_risk(v: DiscreteRandomVariable, spec: RiskSpec) -> RiskValue:
     """Evaluate the higher-order risk measure of v under spec.
 
-    Losses are v's outcomes mapped per ``spec.loss_sign`` (default:
-    negated returns); the inner minimizer is ``minimize_phi``'s exact one.
+    Losses are v's negated outcomes (``RiskSpec.losses``); the inner
+    minimizer is ``minimize_phi``'s exact one.
     """
     return minimize_phi(spec.losses(v.outcomes), v.probabilities, spec.beta, spec.r)
 
@@ -147,10 +148,12 @@ def risk_gradient_in_weights(
 
     Chain rule through the per-scenario losses; returns the zero vector
     when no loss exceeds q (subgradient convention for the inactive
-    positive part).
+    positive part).  q must be finite.
     """
     if w.d != s.d:
         raise DimensionError(f"weights have {w.d} entries but the scenario set has {s.d} assets")
+    if not np.isfinite(q):
+        raise DomainError(f"q must be finite, got {q!r}")
     L = spec.losses(w.weights @ s.returns)
     u = L - float(q)
     mask = u > 0.0
@@ -163,4 +166,4 @@ def risk_gradient_in_weights(
     else:
         S = float(np.dot(pm, um**r))
         coef = S ** (1.0 / r - 1.0) * pm * um ** (r - 1.0)
-    return (spec.sign / (1.0 - spec.beta)) * (s.returns[:, mask] @ coef)
+    return (1.0 / (1.0 - spec.beta)) * (spec.losses(s.returns[:, mask]) @ coef)

@@ -8,7 +8,6 @@ are stored and reported in percent units throughout.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
@@ -102,9 +101,6 @@ class DiscreteRandomVariable:
     def n_atoms(self) -> int:
         return self.outcomes.size
 
-    def support(self) -> tuple[float, float]:
-        return float(self.outcomes[0]), float(self.outcomes[-1])
-
 
 @dataclass(frozen=True, eq=False)
 class ScenarioSet:
@@ -196,31 +192,12 @@ class PortfolioWeights:
         return cls(np.full(d, 1.0 / d))
 
 
-@dataclass(frozen=True)
-class DominanceOrder:
-    """Stochastic order p >= 1; non-integer orders are allowed."""
-
-    order: float
-
-    def __post_init__(self) -> None:
-        p = float(self.order)
-        if not np.isfinite(p) or p < 1.0:
-            raise DomainError(f"stochastic order must be a finite real >= 1, got {self.order!r}")
-        object.__setattr__(self, "order", p)
-
-
 def order_value(p) -> float:
-    """Normalize a float or DominanceOrder into a validated float order."""
-    if isinstance(p, DominanceOrder):
-        return p.order
-    return DominanceOrder(float(p)).order
-
-
-class LossSign(str, Enum):
-    """How return outcomes map onto losses for risk evaluation."""
-
-    NEGATE_RETURNS = "negate_returns"
-    RAW = "raw"
+    """The stochastic order p as a float, checked to be a finite real >= 1."""
+    order = float(p)
+    if not np.isfinite(order) or order < 1.0:
+        raise DomainError(f"stochastic order must be a finite real >= 1, got {p!r}")
+    return order
 
 
 @dataclass(frozen=True)
@@ -228,12 +205,12 @@ class RiskSpec:
     """Parameters of the higher-order risk functional.
 
     beta is the confidence/risk parameter in [0, 1); r >= 1 is the
-    moment order (r = 1 recovers CVaR at level beta).
+    moment order (r = 1 recovers CVaR at level beta).  Losses are
+    negated returns.
     """
 
     beta: float
     r: float
-    loss_sign: LossSign = LossSign.NEGATE_RETURNS
 
     def __post_init__(self) -> None:
         b, r = float(self.beta), float(self.r)
@@ -243,14 +220,11 @@ class RiskSpec:
             raise DomainError(f"risk moment order r must be >= 1, got {self.r!r}")
         object.__setattr__(self, "beta", b)
         object.__setattr__(self, "r", r)
-        object.__setattr__(self, "loss_sign", LossSign(self.loss_sign))
 
-    @property
-    def sign(self) -> float:
-        return -1.0 if self.loss_sign is LossSign.NEGATE_RETURNS else 1.0
-
-    def losses(self, outcomes: np.ndarray) -> np.ndarray:
-        return self.sign * np.asarray(outcomes, dtype=float)
+    @staticmethod
+    def losses(returns) -> np.ndarray:
+        """Losses of the return outcomes: their negations."""
+        return -np.asarray(returns, dtype=float)
 
 
 def portfolio_return_variable(s: ScenarioSet, w: PortfolioWeights) -> DiscreteRandomVariable:

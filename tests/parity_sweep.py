@@ -23,7 +23,10 @@ It prints, per column, the converged count and the Newton iterations;
 with --baseline, also how many objectives are better, equal or worse
 than the baseline's by more than 1e-9 max(1, |baseline|).  A shifted
 column prints its infeasible, converged and unconverged counts and its
-constraint-generation rounds instead.  When scipy is installed it prints
+constraint-generation rounds instead.  With --baseline it then prints
+how many runs equal the baseline's in every field of ``PARITY_FIELDS``
+(the score bit for bit), and lists up to 10 runs that differ, field by
+field.  When scipy is installed it prints
 the largest difference from the HiGHS LP optimum of the order-2
 max-return and CVaR columns, random and factor, and how many order-2
 shifted runs' infeasible verdicts disagree with HiGHS.  --src picks
@@ -67,6 +70,7 @@ SHIFTED_COLUMNS = {
     "shifted max-return p3": (3.0, None),
     "shifted (2, .9, 1)": (2.0, (0.9, 1.0)),
 }
+PARITY_FIELDS = ("converged", "infeasible", "newton", "rounds", "message", "score")
 
 
 def sweep_instance(k: int) -> np.ndarray:
@@ -230,6 +234,32 @@ def summarize(runs: list[dict], baseline: list[dict] | None) -> list[str]:
     return lines
 
 
+def parity(runs: list[dict], baseline: list[dict]) -> list[str]:
+    """How many runs equal their baseline record in every field of PARITY_FIELDS, then
+    the first 10 runs that do not, with each differing field's baseline and new value.
+
+    Values compare by their JSON text, so scores must match bit for bit.
+    """
+    base = {(b["column"], str(b["instance"])): b for b in baseline}
+    differ = []
+    for r in runs:
+        b = base.get((r["column"], str(r["instance"])))
+        if b is None:
+            differ.append((r, ["no baseline record"]))
+            continue
+        fields = [f"{f} {b[f]!r} -> {r[f]!r}" for f in PARITY_FIELDS
+                  if json.dumps(r[f]) != json.dumps(b[f])]
+        if fields:
+            differ.append((r, fields))
+    lines = [f"{len(runs) - len(differ)} of {len(runs)} runs match the baseline in every field"
+             f" ({', '.join(PARITY_FIELDS)})"]
+    for r, fields in differ[:10]:
+        lines.append(f"  {r['column']} {r['instance']}: " + "; ".join(fields))
+    if len(differ) > 10:
+        lines.append(f"  ... and {len(differ) - 10} more")
+    return lines
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--out", required=True, help="JSON file for this run's records")
@@ -247,6 +277,8 @@ def main(argv=None) -> int:
         print(f"{column}: largest |objective - HiGHS LP| {diff:.2e}")
     for column, count in highs_disagreements(sd, runs).items():
         print(f"{column}: {count} infeasible verdicts disagree with HiGHS")
+    if baseline is not None:
+        print("\n".join(parity(runs, baseline)))
     return 0
 
 

@@ -14,15 +14,12 @@ import pytest
 
 from stochdom import (
     DiscreteRandomVariable,
-    LossSign,
     PortfolioWeights,
     RiskSpec,
     ScenarioSet,
-    SolverConfig,
     critical_thresholds,
     demo_scenarios,
     dominance_gap_at,
-    higher_order_risk,
     mean,
     optimize_max_return,
     optimize_min_risk,
@@ -39,6 +36,7 @@ from tests.oracles import (
     max_return_grid_search,
     phi_direct,
 )
+from tests.test_risk import risk_of_losses
 
 GOLDEN_Y = ([3, 5, 7, 9, 11], [0.15, 0.25, 0.30, 0.20, 0.10])
 GOLDEN_X = ([2, 4, 6, 8, 10], [0.10, 0.30, 0.30, 0.20, 0.10])
@@ -82,7 +80,7 @@ def test_criterion_2_demo_max_return_order_4():
     s = demo_scenarios()
     bench = portfolio_return_variable(s, PortfolioWeights.equal(s.d))
     start = time.perf_counter()
-    report = optimize_max_return(s, bench, 4.0, SolverConfig())
+    report = optimize_max_return(s, bench, 4.0)
     elapsed = time.perf_counter() - start
     assert elapsed < 30.0
     assert not report.infeasible
@@ -101,7 +99,7 @@ def test_criterion_2_demo_max_return_order_4():
 def test_criterion_3_demo_min_risk_order_4p7():
     s = demo_scenarios()
     bench = portfolio_return_variable(s, PortfolioWeights.equal(s.d))
-    report = optimize_min_risk(s, bench, 4.7, RiskSpec(beta=0.5, r=2.0), SolverConfig())
+    report = optimize_min_risk(s, bench, 4.7, RiskSpec(beta=0.5, r=2.0))
     assert not report.infeasible
     w = report.weights.weights
     assert int(np.argmax(w)) == 1          # asset 2 holds the largest allocation
@@ -123,7 +121,7 @@ def test_criterion_4_residual_contract():
     for _ in range(2):
         s = ScenarioSet(np.round(rng.normal(0.3, 1.0, (3, 9)), 2))
         bench = portfolio_return_variable(s, PortfolioWeights.equal(3))
-        _record(optimize_max_return(s, bench, 2.0, SolverConfig()))
+        _record(optimize_max_return(s, bench, 2.0))
     assert _CONVERGED_RUNS, "no converged runs were collected"
     for report in _CONVERGED_RUNS:
         assert report.simplex_residual <= 1e-6
@@ -185,29 +183,28 @@ def test_criterion_6_risk_property_suite():
         return RiskSpec(
             beta=float(rng.uniform(0.05, 0.95)),
             r=float(rng.choice([1.0, 1.5, 2.0, 3.0])),
-            loss_sign=LossSign.RAW,
         )
 
     for _ in range(200):
         n = int(rng.integers(2, 10))
         v = DiscreteRandomVariable(np.round(rng.normal(0, 2, n), 3), rng.dirichlet(np.ones(n)))
         spec = sample_spec()
-        rho = higher_order_risk(v, spec).rho
+        rho = risk_of_losses(v, spec).rho
         c = float(rng.normal(0, 1.5))
         shifted = DiscreteRandomVariable(v.outcomes + c, v.probabilities)
-        assert higher_order_risk(shifted, spec).rho == pytest.approx(rho + c, abs=1e-9)
+        assert risk_of_losses(shifted, spec).rho == pytest.approx(rho + c, abs=1e-9)
         a = float(rng.uniform(0.2, 4.0))
         scaled = DiscreteRandomVariable(a * v.outcomes, v.probabilities)
-        assert higher_order_risk(scaled, spec).rho == pytest.approx(a * rho, abs=1e-9, rel=1e-9)
+        assert risk_of_losses(scaled, spec).rho == pytest.approx(a * rho, abs=1e-9, rel=1e-9)
         bump = rng.uniform(0.0, 1.0, v.n_atoms)
         worse = DiscreteRandomVariable(v.outcomes + bump, v.probabilities)
-        assert higher_order_risk(worse, spec).rho >= rho - 1e-9
+        assert risk_of_losses(worse, spec).rho >= rho - 1e-9
 
     for _ in range(200):
         n = int(rng.integers(2, 10))
         v = DiscreteRandomVariable(np.round(rng.normal(0, 2, n), 3), rng.dirichlet(np.ones(n)))
         beta = float(rng.uniform(0.0, 0.95))
-        got = higher_order_risk(v, RiskSpec(beta, 1.0, LossSign.RAW)).rho
+        got = risk_of_losses(v, RiskSpec(beta, 1.0)).rho
         assert got == pytest.approx(cvar_sorted_tail(v.outcomes, v.probabilities, beta), abs=1e-9)
 
     checked = 0
@@ -237,7 +234,6 @@ def test_criterion_6_risk_property_suite():
 
 def test_criterion_7_small_instance_optimizer_oracle():
     rng = np.random.default_rng(707)
-    cfg = SolverConfig()
     worst_gap_to_oracle = 0.0
     for k in range(20):
         n = int(rng.integers(6, 14))
@@ -250,7 +246,7 @@ def test_criterion_7_small_instance_optimizer_oracle():
             s.returns, s.scenario_probabilities, bench.outcomes, bench.probabilities,
             extra_candidates=wb,
         )
-        report = optimize_max_return(s, bench, 2.0, cfg)
+        report = optimize_max_return(s, bench, 2.0)
         assert oracle is not None
         assert not report.infeasible
         assert report.expected_return == pytest.approx(oracle[0], abs=1e-3)

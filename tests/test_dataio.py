@@ -89,6 +89,17 @@ class TestLoadScenarios:
         assert np.array_equal(s.returns, s2.returns)
         assert s.asset_labels == s2.asset_labels
 
+    def test_round_trip_quotes_labels(self, tmp_path):
+        p = tmp_path / "quoted.csv"
+        p.write_text('"Asset, one",B\n1.5,2\n3,-4.25\n', encoding="utf-8")
+        s = load_scenarios(p)
+        assert s.asset_labels == ("Asset, one", "B")
+        out = tmp_path / "dump.csv"
+        dump_scenarios(s, out)
+        s2 = load_scenarios(out)
+        assert s2.asset_labels == s.asset_labels
+        assert np.array_equal(s2.returns, s.returns)
+
 
 class TestLoadVariable:
     def test_outcome_and_probability_columns(self, tmp_path):

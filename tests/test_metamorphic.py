@@ -6,21 +6,21 @@ import numpy as np
 import pytest
 
 from stochdom import RiskSpec, ScenarioSet, optimize_max_return, optimize_min_risk
-from tests.test_optimize import CFG, equal_weight_benchmark, sweep_instance
+from tests.test_optimize import equal_weight_benchmark, sweep_instance
 
 
 def solve(s, bench, order, spec):
     if spec is None:
-        return optimize_max_return(s, bench, order, CFG)
-    return optimize_min_risk(s, bench, order, spec, CFG)
+        return optimize_max_return(s, bench, order)
+    return optimize_min_risk(s, bench, order, spec)
 
 
 @pytest.mark.parametrize("order", [2.0, 3.0, 4.7])
 def test_beta_zero_min_risk_is_minus_max_return(demo, demo_benchmark, order):
     # at beta = 0 the risk is the expected loss for every r
-    best_return = optimize_max_return(demo, demo_benchmark, order, CFG).expected_return
+    best_return = optimize_max_return(demo, demo_benchmark, order).expected_return
     for r in (1.0, 2.0, 3.0):
-        report = optimize_min_risk(demo, demo_benchmark, order, RiskSpec(0.0, r), CFG)
+        report = optimize_min_risk(demo, demo_benchmark, order, RiskSpec(0.0, r))
         assert abs(report.risk_value + best_return) <= 1e-12
 
 
@@ -29,10 +29,10 @@ def test_objective_monotone_in_integer_order(demo, demo_benchmark):
     s = ScenarioSet(sweep_instance(3))
     cases = [(demo, demo_benchmark), (s, equal_weight_benchmark(s))]
     for scenarios, bench in cases:
-        returns = [optimize_max_return(scenarios, bench, p, CFG).expected_return for p in (2, 3, 4, 5)]
+        returns = [optimize_max_return(scenarios, bench, p).expected_return for p in (2, 3, 4, 5)]
         assert all(b >= a - 1e-12 for a, b in zip(returns, returns[1:])), returns
         for spec in (RiskSpec(0.0, 2.0), RiskSpec(0.5, 2.0), RiskSpec(0.8, 1.0)):
-            risks = [optimize_min_risk(scenarios, bench, p, spec, CFG).risk_value for p in (2, 3, 4, 5)]
+            risks = [optimize_min_risk(scenarios, bench, p, spec).risk_value for p in (2, 3, 4, 5)]
             assert all(b <= a + 1e-12 for a, b in zip(risks, risks[1:])), risks
 
 

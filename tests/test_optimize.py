@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import inspect
+
 import numpy as np
 import pytest
 
@@ -9,14 +11,16 @@ from stochdom import (
     PortfolioWeights,
     RiskSpec,
     ScenarioSet,
-    SolverConfig,
     higher_order_risk,
     optimize_max_return,
     optimize_min_risk,
     portfolio_return_variable,
     verify,
+    write_demo_csv,
 )
 from stochdom import optimize
+from stochdom.cli import EXIT_USAGE, main
+from stochdom.dominance import DEFAULT_VERIFY_TOL
 from stochdom.report import render_text
 from tests.oracles import (
     cvar_order2_lp,
@@ -25,9 +29,7 @@ from tests.oracles import (
     min_risk_grid_search,
     order2_feasible_lp,
 )
-from tests.parity_sweep import factor_returns, sweep_instance, uneven_returns
-
-CFG = SolverConfig()
+from tests.parity_sweep import factor_returns, parity, sweep_instance, uneven_returns
 
 
 def factor_model(rng: np.random.Generator, d: int, n: int) -> np.ndarray:
@@ -60,20 +62,25 @@ def two_asset_instance(rng: np.random.Generator, slack: float = 0.0):
     return s, bench, wb
 
 
-class TestSolverConfig:
+class TestTolerance:
     def test_defaults(self):
-        cfg = SolverConfig()
-        assert cfg.constraint_tol == 1e-8
-        assert set(cfg.__dataclass_fields__) == {"constraint_tol"}
+        assert DEFAULT_VERIFY_TOL == 1e-8
+        for fn in (optimize_max_return, optimize_min_risk):
+            assert inspect.signature(fn).parameters["tol"].default == DEFAULT_VERIFY_TOL
         assert optimize.NEWTON_MAX_ITER == 100
         assert optimize.NEWTON_TOL == 1e-10
         assert optimize.MAX_GENERATED_CONSTRAINTS == 50
         assert optimize.SUBSET_CUTS_PER_ROUND == 10
 
-    def test_validation(self):
-        for tol in (0.0, -1e-8, float("nan"), float("inf")):
+    def test_validation(self, demo, demo_benchmark, tmp_path):
+        for tol in (0.0, -1.0, float("nan"), float("inf")):
             with pytest.raises(DomainError):
-                SolverConfig(constraint_tol=tol)
+                optimize_max_return(demo, demo_benchmark, 2.0, tol=tol)
+            with pytest.raises(DomainError):
+                optimize_min_risk(demo, demo_benchmark, 2.0, RiskSpec(0.5, 1.0), tol=tol)
+        data = tmp_path / "returns.csv"
+        write_demo_csv(data)
+        assert main(["max-return", "--data", str(data), "--order", "2", "--tol", "0"]) == EXIT_USAGE
 
 
 class TestNewtonRefine:
@@ -119,10 +126,10 @@ class TestIndependentOracles:
         s = ScenarioSet(sweep_instance(k))
         bench = equal_weight_benchmark(s)
         args = (s.returns, s.scenario_probabilities, bench.outcomes, bench.probabilities)
-        best = optimize_max_return(s, bench, 2.0, CFG)
+        best = optimize_max_return(s, bench, 2.0)
         assert best.converged
         assert abs(best.expected_return - max_return_order2_lp(*args)) <= 1e-9
-        cvar = optimize_min_risk(s, bench, 2.0, RiskSpec(0.9, 1.0), CFG)
+        cvar = optimize_min_risk(s, bench, 2.0, RiskSpec(0.9, 1.0))
         assert cvar.converged
         assert abs(cvar.risk_value - cvar_order2_lp(*args, 0.9)) <= 1e-9
 
@@ -141,10 +148,10 @@ class TestIndependentOracles:
         s = ScenarioSet(factor_returns(seed))
         bench = equal_weight_benchmark(s)
         best_lp, cvar_lp = self.FACTOR_LP[seed]
-        best = optimize_max_return(s, bench, 2.0, CFG)
+        best = optimize_max_return(s, bench, 2.0)
         assert best.converged, best.message
         assert abs(best.expected_return - best_lp) <= 1e-9 * max(1.0, abs(best_lp))
-        cvar = optimize_min_risk(s, bench, 2.0, RiskSpec(0.9, 1.0), CFG)
+        cvar = optimize_min_risk(s, bench, 2.0, RiskSpec(0.9, 1.0))
         assert cvar.converged, cvar.message
         assert abs(cvar.risk_value - cvar_lp) <= 1e-9 * max(1.0, abs(cvar_lp))
 
@@ -165,14 +172,14 @@ class TestIndependentOracles:
             bench = shifted_benchmark(s, shift)
             feasible = order2_feasible_lp(s.returns, s.scenario_probabilities, bench.outcomes,
                                           bench.probabilities)
-            assert optimize_max_return(s, bench, 2.0, CFG).infeasible == (not feasible)
+            assert optimize_max_return(s, bench, 2.0).infeasible == (not feasible)
             # order-2 dominance implies order 3, so an order-3 proof needs an order-2 one
-            assert not (feasible and optimize_max_return(s, bench, 3.0, CFG).infeasible)
+            assert not (feasible and optimize_max_return(s, bench, 3.0).infeasible)
 
     @pytest.mark.parametrize("k", [2, 3, 4])
     def test_order3_infeasibility_certified_in_few_rounds(self, k):
         s = ScenarioSet(sweep_instance(k))
-        report = optimize_max_return(s, shifted_benchmark(s, 5e-2), 3.0, CFG)
+        report = optimize_max_return(s, shifted_benchmark(s, 5e-2), 3.0)
         assert report.infeasible and report.weights is None
         assert report.iterations["constraint_rounds"] <= 4
         assert "the cut multipliers give lambda.g(x) >= L" in report.message
@@ -187,7 +194,7 @@ class TestIndependentOracles:
                 s.returns, s.scenario_probabilities, bench.outcomes, bench.probabilities,
                 spec.beta, spec.r, extra_candidates=wb,
             )
-            report = optimize_min_risk(s, bench, 2.0, spec, CFG)
+            report = optimize_min_risk(s, bench, 2.0, spec)
             assert oracle is not None and not report.infeasible
             assert report.risk_value == pytest.approx(oracle[0], abs=1e-3)
             assert report.risk_value <= oracle[0] + 1e-7
@@ -199,18 +206,17 @@ class TestMaxReturnDriver:
             optimize_max_return(demo, demo_benchmark, 1.5)
 
     def test_benchmark_feasibility_floor(self, demo, demo_benchmark):
-        report = optimize_max_return(demo, demo_benchmark, 3.0, CFG)
+        report = optimize_max_return(demo, demo_benchmark, 3.0)
         assert not report.infeasible
         assert report.expected_return >= report.benchmark_return - 1e-8
 
     def test_fresh_verify_contract(self, demo, demo_benchmark):
-        cfg = CFG
-        report = optimize_max_return(demo, demo_benchmark, 3.0, cfg)
+        report = optimize_max_return(demo, demo_benchmark, 3.0)
         cert = verify(
             portfolio_return_variable(demo, report.weights), demo_benchmark, 3.0,
-            cfg.constraint_tol,
+            DEFAULT_VERIFY_TOL,
         )
-        assert max(0.0, cert.worst_gap) <= cfg.constraint_tol
+        assert max(0.0, cert.worst_gap) <= DEFAULT_VERIFY_TOL
         assert report.dominance_residual == pytest.approx(max(0.0, cert.worst_gap), abs=1e-15)
         assert report.simplex_residual <= 1e-6
 
@@ -231,7 +237,7 @@ class TestMaxReturnDriver:
         assert "least violated gap" in report.message
 
     def test_objective_below_unconstrained_max(self, demo, demo_benchmark):
-        report = optimize_max_return(demo, demo_benchmark, 4.0, CFG)
+        report = optimize_max_return(demo, demo_benchmark, 4.0)
         best_single = float(demo.mean_returns().max())
         assert report.expected_return <= best_single + 1e-8
 
@@ -243,7 +249,7 @@ class TestMaxReturnDriver:
                 s.returns, s.scenario_probabilities, bench.outcomes, bench.probabilities,
                 extra_candidates=wb,
             )
-            report = optimize_max_return(s, bench, 2.0, CFG)
+            report = optimize_max_return(s, bench, 2.0)
             assert oracle is not None
             assert not report.infeasible
             assert report.expected_return == pytest.approx(oracle[0], abs=1e-3)
@@ -251,7 +257,7 @@ class TestMaxReturnDriver:
     def test_infeasible_when_benchmark_unattainable(self):
         s = ScenarioSet(np.array([[1.0, 2.0], [0.5, 1.5]]))
         bench = DiscreteRandomVariable([50.0, 51.0], [0.5, 0.5])
-        report = optimize_max_return(s, bench, 2.0, CFG)
+        report = optimize_max_return(s, bench, 2.0)
         assert report.infeasible
         assert report.weights is None
         assert report.objective_value is None
@@ -261,14 +267,14 @@ class TestMaxReturnDriver:
         monkeypatch.setattr(optimize, "MAX_GENERATED_CONSTRAINTS", 3)
         s = ScenarioSet(np.array([[1.0, 2.0], [0.5, 1.5]]))
         bench = DiscreteRandomVariable([50.0, 51.0], [0.5, 0.5])
-        report = optimize_max_return(s, bench, 2.0, CFG)
+        report = optimize_max_return(s, bench, 2.0)
         assert report.infeasible
         # the first round's multipliers already prove it
         assert report.iterations["constraint_rounds"] == 1
         assert "the cut multipliers give lambda.g(x) >= L" in report.message
         # the demo needs 4 rounds at order 2; with a budget of 1 the second round is the last
         monkeypatch.setattr(optimize, "MAX_GENERATED_CONSTRAINTS", 1)
-        starved = optimize_max_return(demo, demo_benchmark, 2.0, CFG)
+        starved = optimize_max_return(demo, demo_benchmark, 2.0)
         assert starved.iterations["constraint_rounds"] == 2
         assert not starved.converged and not starved.infeasible
         assert "the budget of 1 cut-adding rounds ran out" in starved.message
@@ -279,19 +285,19 @@ class TestMaxReturnDriver:
         s = ScenarioSet(sweep_instance(2))
         bench = portfolio_return_variable(
             s, PortfolioWeights(np.random.default_rng(2).dirichlet(np.ones(5))))
-        report = optimize_max_return(s, bench, 2.0, CFG)
+        report = optimize_max_return(s, bench, 2.0)
         assert not report.infeasible and not report.converged
         assert "the budget of 1 cut-adding rounds ran out" in report.message
-        cert = verify(portfolio_return_variable(s, report.weights), bench, 2.0, CFG.constraint_tol)
-        assert report.dominance_residual == max(0.0, cert.worst_gap) > CFG.constraint_tol
+        cert = verify(portfolio_return_variable(s, report.weights), bench, 2.0, DEFAULT_VERIFY_TOL)
+        assert report.dominance_residual == max(0.0, cert.worst_gap) > DEFAULT_VERIFY_TOL
 
     def test_budget_counts_only_generated_thresholds(self):
         # 60 benchmark atoms exceed the 50-threshold budget on their own
         s = ScenarioSet(factor_model(np.random.default_rng(1), 4, 60))
         bench = equal_weight_benchmark(s)
         assert bench.n_atoms >= 60
-        order2 = optimize_max_return(s, bench, 2.0, CFG)
-        order3 = optimize_max_return(s, bench, 3.0, CFG)
+        order2 = optimize_max_return(s, bench, 2.0)
+        order3 = optimize_max_return(s, bench, 3.0)
         # order-2 dominance implies order-3 dominance
         assert order3.expected_return >= order2.expected_return - 1e-8
 
@@ -299,30 +305,30 @@ class TestMaxReturnDriver:
         # the lowest order-4.7 cut has a benchmark moment far below 1e-9
         s = ScenarioSet(sweep_instance(6))
         bench = equal_weight_benchmark(s)
-        order2 = optimize_max_return(s, bench, 2.0, CFG)
-        order47 = optimize_max_return(s, bench, 4.7, CFG)
+        order2 = optimize_max_return(s, bench, 2.0)
+        order47 = optimize_max_return(s, bench, 4.7)
         assert order47.expected_return >= order2.expected_return - 1e-8
 
     def test_unconverged_report_gives_reason(self, demo, demo_benchmark, monkeypatch):
-        report = optimize_max_return(demo, demo_benchmark, 3.0, CFG)
+        report = optimize_max_return(demo, demo_benchmark, 3.0)
         assert report.converged or report.message
         monkeypatch.setattr(optimize, "NEWTON_MAX_ITER", 1)
-        starved = optimize_max_return(demo, demo_benchmark, 2.0, CFG)
+        starved = optimize_max_return(demo, demo_benchmark, 2.0)
         assert not starved.converged and not starved.infeasible
         assert "above NEWTON_TOL" in starved.message
         text = render_text(starved, order=2.0, verbose=True)
         assert f"Reason: {starved.message}" in text
 
     def test_deterministic_reports(self, demo, demo_benchmark):
-        a = optimize_max_return(demo, demo_benchmark, 4.0, CFG)
-        b = optimize_max_return(demo, demo_benchmark, 4.0, CFG)
+        a = optimize_max_return(demo, demo_benchmark, 4.0)
+        b = optimize_max_return(demo, demo_benchmark, 4.0)
         assert np.array_equal(a.weights.weights, b.weights.weights)
         assert a.expected_return == b.expected_return
         assert a.active_thresholds == b.active_thresholds
         assert a.iterations == b.iterations
 
     def test_active_thresholds_ordering(self, demo, demo_benchmark):
-        report = optimize_max_return(demo, demo_benchmark, 4.0, CFG)
+        report = optimize_max_return(demo, demo_benchmark, 4.0)
         assert len(report.active_thresholds) >= 1
         port = portfolio_return_variable(demo, report.weights)
         cert = verify(port, demo_benchmark, 4.0, 1e-8)
@@ -331,7 +337,7 @@ class TestMaxReturnDriver:
 
 class TestMinRiskDriver:
     def test_supports_fractional_order(self, demo, demo_benchmark):
-        report = optimize_min_risk(demo, demo_benchmark, 4.7, RiskSpec(0.5, 2.0), CFG)
+        report = optimize_min_risk(demo, demo_benchmark, 4.7, RiskSpec(0.5, 2.0))
         assert not report.infeasible
         assert report.risk_value is not None
         assert report.q_star is not None
@@ -339,7 +345,7 @@ class TestMinRiskDriver:
 
     def test_qstar_consistent_with_inner_minimization(self, demo, demo_benchmark):
         spec = RiskSpec(0.5, 2.0)
-        report = optimize_min_risk(demo, demo_benchmark, 4.0, spec, CFG)
+        report = optimize_min_risk(demo, demo_benchmark, 4.0, spec)
         rv = higher_order_risk(portfolio_return_variable(demo, report.weights), spec)
         assert abs(report.q_star - rv.q_star) <= 1e-6
         assert report.risk_value == pytest.approx(rv.rho, abs=1e-10)
@@ -349,8 +355,8 @@ class TestMinRiskDriver:
         returns = np.round(rng.normal(0.1, 1.0, (3, 8)), 2)
         s = ScenarioSet(returns)
         bench = portfolio_return_variable(s, PortfolioWeights.equal(3))
-        risk_report = optimize_min_risk(s, bench, 2.0, RiskSpec(0.0, 1.0), CFG)
-        ret_report = optimize_max_return(s, bench, 2.0, CFG)
+        risk_report = optimize_min_risk(s, bench, 2.0, RiskSpec(0.0, 1.0))
+        ret_report = optimize_max_return(s, bench, 2.0)
         assert risk_report.risk_value == pytest.approx(-ret_report.expected_return, abs=1e-6)
         assert np.abs(
             risk_report.weights.weights - ret_report.weights.weights
@@ -363,7 +369,7 @@ class TestMinRiskDriver:
         oracle = cvar_order2_lp(demo.returns, demo.scenario_probabilities,
                                 demo_benchmark.outcomes, demo_benchmark.probabilities, beta)
         assert oracle == pytest.approx(lp_value, abs=1e-6)
-        report = optimize_min_risk(demo, demo_benchmark, 2.0, RiskSpec(beta, 1.0), CFG)
+        report = optimize_min_risk(demo, demo_benchmark, 2.0, RiskSpec(beta, 1.0))
         assert report.risk_value == pytest.approx(oracle, abs=1e-6)
 
     def test_single_asset_min_risk_converges_without_message(self):
@@ -378,7 +384,7 @@ class TestMinRiskDriver:
 
     def test_requires_risk_spec(self, demo, demo_benchmark):
         with pytest.raises(DomainError):
-            optimize_min_risk(demo, demo_benchmark, 3.0, None, CFG)
+            optimize_min_risk(demo, demo_benchmark, 3.0, None)
 
 
 NEVER_RAISE_CASES = {
@@ -400,11 +406,11 @@ def test_valid_input_never_raises(case):
     s = ScenarioSet(make_returns())
     bench = equal_weight_benchmark(s)
     if spec is None:
-        report = optimize_max_return(s, bench, order, CFG)
+        report = optimize_max_return(s, bench, order)
     else:
-        report = optimize_min_risk(s, bench, order, spec, CFG)
+        report = optimize_min_risk(s, bench, order, spec)
     assert not report.infeasible          # the benchmark itself is feasible
-    assert report.dominance_residual <= CFG.constraint_tol
+    assert report.dominance_residual <= DEFAULT_VERIFY_TOL
     assert report.simplex_residual <= 1e-6
     assert report.converged or report.message
 
@@ -414,7 +420,7 @@ def test_max_loss_regime_converges_to_the_largest_loss():
     # is the largest loss for every portfolio and the solve is linear
     make_returns, order, spec = NEVER_RAISE_CASES["sweep-12-r3"]
     s = ScenarioSet(make_returns())
-    report = optimize_min_risk(s, equal_weight_benchmark(s), order, spec, CFG)
+    report = optimize_min_risk(s, equal_weight_benchmark(s), order, spec)
     port = portfolio_return_variable(s, report.weights)
     largest_loss = float(spec.losses(port.outcomes).max())
     assert report.converged
@@ -431,7 +437,7 @@ def test_empty_tail_optimum_converges():
     # no tail beyond q; the perspective row eta >= ||u||_{r,p} is smooth there
     s, spec = uneven_instance(11), RiskSpec(0.8, 3.0)
     assert s.scenario_probabilities.min() ** (1.0 / spec.r) < 1.0 - spec.beta
-    report = optimize_min_risk(s, equal_weight_benchmark(s), 4.7, spec, CFG)
+    report = optimize_min_risk(s, equal_weight_benchmark(s), 4.7, spec)
     port = portfolio_return_variable(s, report.weights)
     largest_loss = float(spec.losses(port.outcomes).max())
     assert report.converged and report.message is None
@@ -443,9 +449,19 @@ def test_demo_sweep_never_raises_and_mostly_converges(demo, demo_benchmark):
     for order in (2.0, 2.5, 3.0, 4.0, 4.7):
         for beta in (0.0, 0.5, 0.9):
             for r in (1.0, 2.0, 3.0):
-                report = optimize_min_risk(demo, demo_benchmark, order, RiskSpec(beta, r), CFG)
+                report = optimize_min_risk(demo, demo_benchmark, order, RiskSpec(beta, r))
                 assert not report.infeasible
                 assert report.converged or report.message
                 if not report.converged:
                     unconverged.append((order, beta, r))
     assert len(unconverged) <= 1, unconverged
+
+
+def test_parity_compares_every_field_and_scores_bit_for_bit():
+    rec = {"column": "demo", "instance": "2/0/1", "converged": True, "infeasible": False,
+           "newton": 12, "rounds": 2, "message": None, "score": 0.1}
+    other = {**rec, "instance": "3/0/1"}
+    nudged = float(np.nextafter(0.1, 1.0))
+    lines = parity([rec, {**other, "newton": 13, "score": nudged}], [rec, other])
+    assert lines[0].startswith("1 of 2 runs match the baseline in every field")
+    assert lines[1:] == [f"  demo 3/0/1: newton 12 -> 13; score 0.1 -> {nudged!r}"]

@@ -16,14 +16,11 @@ from stochdom import (
     portfolio_return_variable,
     verify,
     write_demo_csv,
-    SolverConfig,
     SolveReport,
 )
 from stochdom import optimize
 from stochdom.cli import EXIT_IO, EXIT_NOT_DOMINANT, EXIT_OK, EXIT_USAGE, main
 from stochdom.report import JSON_KEYS, report_payload, render_json
-
-CFG = SolverConfig()
 
 
 def write_variable_csv(path, outcomes, probabilities):
@@ -45,7 +42,7 @@ def golden_files(tmp_path):
 def demo_report():
     s = demo_scenarios()
     bench = portfolio_return_variable(s, PortfolioWeights.equal(s.d))
-    return s, optimize_max_return(s, bench, 4.0, CFG)
+    return s, optimize_max_return(s, bench, 4.0)
 
 
 class TestEmitReport:
@@ -263,6 +260,16 @@ class TestCliSolve:
         assert "not certified" in out
         assert "Optimal allocation" not in out
 
+    def test_unconverged_plot_is_not_titled_optimal(self, data_csv, tmp_path, monkeypatch):
+        monkeypatch.setattr(optimize, "MAX_GENERATED_CONSTRAINTS", 1)
+        svg = tmp_path / "alloc.svg"
+        code = main(["max-return", "--data", str(data_csv), "--order", "2", "--plot", str(svg)])
+        assert code == EXIT_NOT_DOMINANT
+        texts = [node.firstChild.data for node in minidom.parse(str(svg)).getElementsByTagName("text")]
+        assert texts[0] == "Allocation not certified as optimal and dominant"
+        assert any(t.startswith("Expected return: ") for t in texts)
+        assert not any("Optimal" in t or "Optimized" in t for t in texts)
+
     def test_single_asset_infeasible_exit(self, tmp_path, capsys):
         data = tmp_path / "one.csv"
         data.write_text("A\n1.0\n2.0\n3.0\n", encoding="utf-8")
@@ -313,6 +320,9 @@ class TestCliSolve:
                      "--plot", str(svg)])
         assert code == EXIT_OK
         assert svg.read_bytes().startswith(b"<?xml")
+        texts = [node.firstChild.data for node in minidom.parse(str(svg)).getElementsByTagName("text")]
+        assert texts[0] == "Optimal allocation"
+        assert any(t.startswith("Optimized expected return: ") for t in texts)
 
     def test_plot_escapes_asset_labels(self, tmp_path):
         data = tmp_path / "r.csv"

@@ -7,9 +7,9 @@ from stochdom import (
     DimensionError,
     DiscreteRandomVariable,
     DomainError,
-    LossSign,
     PortfolioWeights,
     RiskSpec,
+    RiskValue,
     ScenarioSet,
     demo_scenarios,
     higher_order_risk,
@@ -19,8 +19,9 @@ from stochdom import (
 from tests.oracles import cvar_sorted_tail, phi_direct
 
 
-def raw_spec(beta: float, r: float) -> RiskSpec:
-    return RiskSpec(beta=beta, r=r, loss_sign=LossSign.RAW)
+def risk_of_losses(v: DiscreteRandomVariable, spec: RiskSpec) -> RiskValue:
+    """Risk of the loss variable v; higher_order_risk takes returns, whose negations are losses."""
+    return higher_order_risk(DiscreteRandomVariable(-v.outcomes, v.probabilities), spec)
 
 
 def loss_variable(rng: np.random.Generator, n_max: int = 10) -> DiscreteRandomVariable:
@@ -33,12 +34,12 @@ def loss_variable(rng: np.random.Generator, n_max: int = 10) -> DiscreteRandomVa
 class TestHigherOrderRisk:
     def test_cvar_two_atom_example(self):
         v = DiscreteRandomVariable([0.0, 10.0], [0.5, 0.5])
-        rv = higher_order_risk(v, raw_spec(0.5, 1.0))
+        rv = risk_of_losses(v, RiskSpec(0.5, 1.0))
         assert rv.rho == pytest.approx(10.0, abs=1e-9)
 
     def test_degenerate_constant(self):
         for beta, r in ((0.0, 1.0), (0.5, 2.0), (0.9, 3.0)):
-            rv = higher_order_risk(DiscreteRandomVariable([4.2], [1.0]), raw_spec(beta, r))
+            rv = risk_of_losses(DiscreteRandomVariable([4.2], [1.0]), RiskSpec(beta, r))
             assert rv.rho == pytest.approx(4.2, abs=1e-12)
             assert rv.q_star == pytest.approx(4.2, abs=1e-12)
 
@@ -46,35 +47,35 @@ class TestHigherOrderRisk:
         rng = np.random.default_rng(5)
         for _ in range(40):
             v = loss_variable(rng)
-            spec = raw_spec(float(rng.uniform(0.05, 0.95)), float(rng.choice([1.0, 1.5, 2.0, 3.0])))
-            rv = higher_order_risk(v, spec)
+            spec = RiskSpec(float(rng.uniform(0.05, 0.95)), float(rng.choice([1.0, 1.5, 2.0, 3.0])))
+            rv = risk_of_losses(v, spec)
             recomputed = phi_direct(v.outcomes, v.probabilities, spec.beta, spec.r, rv.q_star)
             assert rv.rho == pytest.approx(recomputed, abs=1e-10)
 
     def test_translation_equivariance_probe(self):
         rng = np.random.default_rng(6)
         v = loss_variable(rng)
-        spec = raw_spec(0.3, 2.0)
+        spec = RiskSpec(0.3, 2.0)
         shifted = DiscreteRandomVariable(v.outcomes + 1.0, v.probabilities)
-        assert higher_order_risk(shifted, spec).rho == pytest.approx(
-            higher_order_risk(v, spec).rho + 1.0, abs=1e-9
+        assert risk_of_losses(shifted, spec).rho == pytest.approx(
+            risk_of_losses(v, spec).rho + 1.0, abs=1e-9
         )
 
     def test_coherence_axioms(self):
         rng = np.random.default_rng(7)
         for _ in range(40):
             v = loss_variable(rng)
-            spec = raw_spec(float(rng.uniform(0.05, 0.95)), float(rng.choice([1.0, 1.5, 2.0, 3.0])))
-            rho = higher_order_risk(v, spec).rho
+            spec = RiskSpec(float(rng.uniform(0.05, 0.95)), float(rng.choice([1.0, 1.5, 2.0, 3.0])))
+            rho = risk_of_losses(v, spec).rho
             c = float(rng.normal(0, 1.5))
             shifted = DiscreteRandomVariable(v.outcomes + c, v.probabilities)
-            assert higher_order_risk(shifted, spec).rho == pytest.approx(rho + c, abs=1e-9)
+            assert risk_of_losses(shifted, spec).rho == pytest.approx(rho + c, abs=1e-9)
             a = float(rng.uniform(0.2, 4.0))
             scaled = DiscreteRandomVariable(a * v.outcomes, v.probabilities)
-            assert higher_order_risk(scaled, spec).rho == pytest.approx(a * rho, abs=1e-9, rel=1e-9)
+            assert risk_of_losses(scaled, spec).rho == pytest.approx(a * rho, abs=1e-9, rel=1e-9)
             bump = rng.uniform(0.0, 1.0, v.n_atoms)
             worse = DiscreteRandomVariable(v.outcomes + bump, v.probabilities)
-            assert higher_order_risk(worse, spec).rho >= rho - 1e-9
+            assert risk_of_losses(worse, spec).rho >= rho - 1e-9
 
     def test_convexity_under_mixing(self):
         rng = np.random.default_rng(8)
@@ -84,11 +85,11 @@ class TestHigherOrderRisk:
             la = np.round(rng.normal(0, 2, n), 3)
             lb = np.round(rng.normal(0, 2, n), 3)
             lam = float(rng.uniform(0, 1))
-            spec = raw_spec(float(rng.uniform(0.05, 0.9)), float(rng.choice([1.0, 2.0])))
-            mixed = higher_order_risk(DiscreteRandomVariable(lam * la + (1 - lam) * lb, probs), spec).rho
+            spec = RiskSpec(float(rng.uniform(0.05, 0.9)), float(rng.choice([1.0, 2.0])))
+            mixed = risk_of_losses(DiscreteRandomVariable(lam * la + (1 - lam) * lb, probs), spec).rho
             split = (
-                lam * higher_order_risk(DiscreteRandomVariable(la, probs), spec).rho
-                + (1 - lam) * higher_order_risk(DiscreteRandomVariable(lb, probs), spec).rho
+                lam * risk_of_losses(DiscreteRandomVariable(la, probs), spec).rho
+                + (1 - lam) * risk_of_losses(DiscreteRandomVariable(lb, probs), spec).rho
             )
             assert mixed <= split + 1e-9
 
@@ -97,7 +98,7 @@ class TestHigherOrderRisk:
         for _ in range(50):
             v = loss_variable(rng)
             beta = float(rng.uniform(0.0, 0.95))
-            got = higher_order_risk(v, raw_spec(beta, 1.0)).rho
+            got = risk_of_losses(v, RiskSpec(beta, 1.0)).rho
             expected = cvar_sorted_tail(v.outcomes, v.probabilities, beta)
             assert got == pytest.approx(expected, abs=1e-9)
 
@@ -105,8 +106,8 @@ class TestHigherOrderRisk:
         rng = np.random.default_rng(10)
         for _ in range(10):
             v = loss_variable(rng)
-            spec = raw_spec(float(rng.uniform(0.05, 0.9)), float(rng.choice([1.0, 1.5, 2.0])))
-            rv = higher_order_risk(v, spec)
+            spec = RiskSpec(float(rng.uniform(0.05, 0.9)), float(rng.choice([1.0, 1.5, 2.0])))
+            rv = risk_of_losses(v, spec)
             lo, hi = float(v.outcomes.min()), float(v.outcomes.max())
             span = max(hi - lo, 1.0)
             probes = rng.uniform(lo - 3 * span, hi + span, 1000)
@@ -151,7 +152,7 @@ class TestExactInnerSolve:
             beta = float(rng.uniform(1.0 - v.probabilities.min() ** (1.0 / r), 1.0))
             if beta >= 1.0:
                 continue
-            rv = higher_order_risk(v, raw_spec(beta, r))
+            rv = risk_of_losses(v, RiskSpec(beta, r))
             assert rv.rho == rv.q_star == v.outcomes.max()
             checked += 1
 
@@ -162,14 +163,14 @@ class TestExactInnerSolve:
             beta = float(rng.uniform(0.01, 0.99))
             cdf = np.cumsum(v.probabilities[np.argsort(v.outcomes)])
             lower_quantile = np.sort(v.outcomes)[np.argmax(cdf >= beta)]
-            assert higher_order_risk(v, raw_spec(beta, 1.0)).q_star == lower_quantile
+            assert risk_of_losses(v, RiskSpec(beta, 1.0)).q_star == lower_quantile
 
     def test_qstar_is_a_local_minimizer_to_rounding(self):
         rng = np.random.default_rng(16)
         for _ in range(40):
             v = loss_variable(rng, 20)
-            spec = raw_spec(float(rng.uniform(0.01, 0.95)), float(rng.choice([1.5, 2.0, 2.7, 3.0])))
-            rv = higher_order_risk(v, spec)
+            spec = RiskSpec(float(rng.uniform(0.01, 0.95)), float(rng.choice([1.5, 2.0, 2.7, 3.0])))
+            rv = risk_of_losses(v, spec)
             h = 1e-7 * (v.outcomes.max() - v.outcomes.min())
             for q in (rv.q_star - h, rv.q_star + h):
                 assert phi_direct(v.outcomes, v.probabilities, spec.beta, spec.r, q) >= rv.rho - 1e-14
@@ -228,3 +229,9 @@ class TestRiskGradient:
         s = ScenarioSet(np.ones((2, 3)))
         with pytest.raises(DimensionError):
             risk_gradient_in_weights(s, PortfolioWeights.equal(3), 0.0, RiskSpec(0.5, 2.0))
+
+    def test_rejects_non_finite_q(self):
+        s = ScenarioSet(np.array([[1.0, 2.0], [0.5, 1.5]]))
+        for q in (float("nan"), float("inf"), float("-inf")):
+            with pytest.raises(DomainError):
+                risk_gradient_in_weights(s, PortfolioWeights.equal(2), q, RiskSpec(0.5, 2.0))

@@ -7,14 +7,13 @@ from stochdom import (
     DimensionError,
     DiscreteRandomVariable,
     DomainError,
-    DominanceOrder,
-    LossSign,
     PortfolioWeights,
     RiskSpec,
     ScenarioSet,
     mean,
     portfolio_return_variable,
 )
+from stochdom.types import order_value
 
 
 class TestDiscreteRandomVariable:
@@ -120,22 +119,22 @@ class TestPortfolioWeights:
 
 class TestDominanceOrderAndRiskSpec:
     def test_order_lower_bound(self):
-        with pytest.raises(DomainError):
-            DominanceOrder(0.9)
-        assert DominanceOrder(4.7).order == 4.7
+        for p in (0.9, float("nan"), float("inf")):
+            with pytest.raises(DomainError):
+                order_value(p)
+        assert order_value(4.7) == 4.7
+        assert order_value(2) == 2.0
 
     def test_riskspec_validation(self):
         with pytest.raises(DomainError):
             RiskSpec(beta=1.0, r=2.0)
         with pytest.raises(DomainError):
             RiskSpec(beta=0.5, r=0.5)
-        spec = RiskSpec(beta=0.5, r=2.0)
-        assert spec.loss_sign is LossSign.NEGATE_RETURNS
+        assert set(RiskSpec.__dataclass_fields__) == {"beta", "r"}
 
     def test_loss_mapping(self):
         z = np.array([1.0, -2.0])
-        assert np.allclose(RiskSpec(0.1, 1.0).losses(z), [-1.0, 2.0])
-        assert np.allclose(RiskSpec(0.1, 1.0, LossSign.RAW).losses(z), z)
+        assert np.array_equal(RiskSpec(0.1, 1.0).losses(z), [-1.0, 2.0])
 
 
 class TestPortfolioReturnVariable:
@@ -178,3 +177,24 @@ class TestMean:
 
     def test_single_outcome(self):
         assert mean(DiscreteRandomVariable([4.2], [1.0])) == pytest.approx(4.2)
+
+
+def test_public_api_names():
+    import stochdom
+
+    assert sorted(stochdom.__all__) == sorted([
+        "DiscreteRandomVariable", "ScenarioSet", "PortfolioWeights",
+        "RiskSpec", "DomainError", "DimensionError",
+        "portfolio_return_variable", "mean",
+        "DominanceCertificate", "lower_partial_moment",
+        "dominance_gap_at", "critical_thresholds", "verify",
+        "RiskValue", "higher_order_risk", "risk_gradient_in_weights",
+        "SolveReport", "optimize_max_return", "optimize_min_risk",
+        "load_scenarios", "load_variable", "load_weights", "dump_scenarios",
+        "demo_scenarios", "write_demo_csv",
+        "emit_report", "emit_plot",
+        "__version__",
+    ])
+    assert len(stochdom.__all__) == 28
+    for name in stochdom.__all__:
+        assert getattr(stochdom, name) is not None
