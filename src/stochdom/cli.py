@@ -1,27 +1,22 @@
 """Command-line surface: ``sd verify``, ``sd max-return``, ``sd min-risk``.
 
 Exit codes: 0 success with dominance, 1 usage/domain error,
-2 infeasible or not dominant, 3 I/O error.  The SD_SEED environment
-variable overrides the solve commands' --seed when set; the seed only
-fills the JSON report's seed field, since solves are deterministic.
+2 infeasible or not dominant, 3 I/O error.  The solve commands' --seed
+only fills the JSON report's seed field, since solves are deterministic.
+The benchmark is the equal-weight portfolio of the data assets unless
+--benchmark-weights or --benchmark-series names another.
 """
 
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 
 from .dataio import load_scenarios, load_variable, load_weights
 from .dominance import DEFAULT_VERIFY_TOL, verify
 from .optimize import optimize_max_return, optimize_min_risk
 from .report import emit_plot, emit_report
-from .types import (
-    DomainError,
-    PortfolioWeights,
-    RiskSpec,
-    portfolio_return_variable,
-)
+from .types import PortfolioWeights, RiskSpec, portfolio_return_variable
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -60,10 +55,8 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--data", required=True, metavar="FILE", help="CSV of asset returns (rows = scenarios)")
         sp.add_argument("--order", type=float, required=True, help="stochastic order p >= 2")
         group = sp.add_mutually_exclusive_group()
-        group.add_argument("--benchmark", choices=("equal",), default="equal",
-                           help="equal-weight portfolio of the data assets (default)")
         group.add_argument("--benchmark-weights", dest="benchmark_weights", metavar="FILE",
-                           help="CSV of benchmark portfolio weights")
+                           help="CSV of benchmark portfolio weights (default: equal weights)")
         group.add_argument("--benchmark-series", dest="benchmark_series", metavar="FILE",
                            help="CSV of benchmark return outcomes (own scenario space)")
         sp.add_argument("--prob-col", dest="prob_col", default=None, metavar="NAME",
@@ -80,16 +73,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _resolve_seed(cli_seed: int) -> int:
-    env = os.environ.get("SD_SEED")
-    if env is None:
-        return cli_seed
-    try:
-        return int(env)
-    except ValueError:
-        raise DomainError(f"SD_SEED must be an integer, got {env!r}") from None
-
-
 def _cmd_verify(ns: argparse.Namespace) -> int:
     y = load_variable(ns.y)
     x = load_variable(ns.x)
@@ -103,7 +86,6 @@ def _cmd_verify(ns: argparse.Namespace) -> int:
 
 
 def _cmd_solve(ns: argparse.Namespace) -> int:
-    seed = _resolve_seed(ns.seed)
     s = load_scenarios(ns.data, prob_col=ns.prob_col)
     if ns.benchmark_weights is not None:
         tau = PortfolioWeights(load_weights(ns.benchmark_weights, expected_d=s.d))
@@ -117,7 +99,7 @@ def _cmd_solve(ns: argparse.Namespace) -> int:
     else:
         result = optimize_max_return(s, benchmark, ns.order, tol=ns.tol)
     text = emit_report(
-        result, ns.verbose, command=ns.command, order=ns.order, seed=seed,
+        result, ns.verbose, command=ns.command, order=ns.order, seed=ns.seed,
         json_path=ns.json, asset_labels=s.asset_labels,
     )
     sys.stdout.write(text)

@@ -78,9 +78,23 @@ def dump_scenarios(s: ScenarioSet, path) -> None:
 
     Non-uniform scenario probabilities go into a trailing 'probability'
     column; reload those with ``load_scenarios(path, prob_col="probability")``.
+    Raises DomainError, naming the label, when a label would reload as
+    something else: a first label in DATE_HEADERS (a date column), one
+    with leading or trailing whitespace (stripped), 'probability' next to
+    that column (read as the probabilities), or all labels empty (a blank
+    header row is skipped).
     """
     table, labels, p = s.returns, s.asset_labels, s.scenario_probabilities
-    if np.any(p != p[0]):
+    uneven = bool(np.any(p != p[0]))
+    for i, label in enumerate(labels):
+        why = ("reloads as a date column" if i == 0 and label in DATE_HEADERS
+               else "loses its surrounding whitespace" if label != label.strip()
+               else "reloads as the probability column" if uneven and label == "probability"
+               else "reloads as a skipped blank header" if not any(labels)
+               else None)
+        if why is not None:
+            raise DomainError(f"cannot dump asset label {label!r}: it {why}")
+    if uneven:
         table, labels = np.vstack([table, p]), (*labels, "probability")
     with open(path, "w", encoding="utf-8", newline="") as fh:
         out = csv.writer(fh, lineterminator="\n")

@@ -9,9 +9,11 @@ is never negative.
 - Integer k.  Between consecutive atoms, and beyond the last one, g is a
   polynomial of degree k in the distance to the atom below, with
   coefficients read off the moment tables described below.  Its maximum
-  on a segment sits at an atom or at a real root of its derivative:
-  closed forms for derivatives of degree 1 and 2, batched
-  companion-matrix eigenvalues above that.
+  on a segment, or in a bounded tail, sits at an atom or at a real root
+  of its derivative.  One root search takes every segment and the tail
+  together, a row each of the moment table: closed forms for
+  derivatives of degree 1 and 2, batched companion-matrix eigenvalues
+  above that.
 - Fractional k.  Branch and bound over the segments between atoms.
   Split g = G+ - G-, the shortfall moments of the positive and negative
   parts of the signed measure P_Y - P_X.  Both are nondecreasing, and
@@ -319,21 +321,27 @@ def _real_roots(c: np.ndarray) -> np.ndarray:
     return out
 
 
-def _segment_critical_points(f: _Shortfall) -> np.ndarray:
-    """Zeros of the integer-order gap derivative strictly inside each segment between atoms.
+def _critical_points(f: _Shortfall, lead: int | None, span: float) -> np.ndarray:
+    """Zeros of the integer-order gap derivative inside each segment between atoms and in the tail.
 
-    On segment m the derivative is k sum_{j < k} C(k - 1, j) dP_j(m)
-    d^(k - 1 - j) with d = t - z_m; it is solved in s = d / h_m on (0, 1).
+    Row m of the table gives the derivative over k on segment m,
+    sum_{j < k} C(k - 1, j) dP_j(m) d^(k - 1 - j) with d = t - z_m, solved
+    in s = d / h_m on (0, 1).  The last row holds the tail's dM_j; its
+    entries j < lead are negligible and dropped (all of them when lead is
+    None, for a tail with no maximum), and it is solved in s = d / span
+    on (0, inf).  One `_real_roots` call solves every row.
     """
     k = int(f.k)
-    h = np.diff(f.z)
-    if k < 2 or h.size == 0:
+    if k < 2:
         return np.empty(0)
     j = np.arange(k)
+    coef = f.table[:, :k].copy()
+    coef[-1, : k if lead is None else lead] = 0.0
+    scale = np.append(np.diff(f.z), span)
     binom = np.array([math.comb(k - 1, i) for i in j], dtype=float)
-    s = _real_roots(f.table[:-1, :k] * binom * h[:, None] ** (k - 1 - j))
-    inside = (s > 0.0) & (s < 1.0)
-    return (f.z[:-1, None] + s * h[:, None])[inside]
+    s = _real_roots(coef * binom * scale[:, None] ** (k - 1 - j))
+    inside = (s > 0.0) & (s < np.append(np.ones(f.z.size - 1), np.inf)[:, None])
+    return (f.z[:, None] + s * scale[:, None])[inside]
 
 
 def _leading_moment(dm: np.ndarray, span: float, tol: float, limit: int) -> int | None:
@@ -342,21 +350,6 @@ def _leading_moment(dm: np.ndarray, span: float, tol: float, limit: int) -> int 
         if abs(dm[j]) > tol * span**j:
             return j
     return None
-
-
-def _tail_critical_points(dm: np.ndarray, k: int, lead: int | None, span: float) -> np.ndarray:
-    """Distances d > 0 past the last atom where the bounded integer-order tail gap is stationary.
-
-    Negligible leading moment differences are dropped: the tail
-    polynomial is sum_{j >= lead} C(k, j) dM_j d^(k - j), whose
-    derivative over k is sum_{lead <= j < k} C(k - 1, j) dM_j d^(k - 1 - j).
-    """
-    if lead is None or lead >= k - 1:
-        return np.empty(0)
-    j = np.arange(lead, k)
-    coef = np.array([math.comb(k - 1, i) for i in j], dtype=float) * dm[lead:k] * span ** (k - 1 - j)
-    s = _real_roots(coef[None, :])[0]
-    return span * s[s > 0.0]
 
 
 def _series_tail(dm: np.ndarray, k: float, lead: int | None, spread: float, total: float, start: float):
@@ -543,11 +536,8 @@ def critical_thresholds(
     unbounded = lead is not None and lead < k and dm[lead] > 0.0
     evaluations = 0
     if f.table is not None:
-        tail = _tail_critical_points(dm, int(k), None if unbounded else lead, span)
-        extra = np.concatenate([_segment_critical_points(f), hi + tail])
-        ts = np.append(z, hi + window)
-        if extra.size:
-            ts = np.unique(np.concatenate([ts, extra]))
+        roots = _critical_points(f, None if unbounded else lead, span)
+        ts = np.unique(np.concatenate([z, [hi + window], roots]))
         gaps = f(ts)
         upper = float(gaps.max())
     else:

@@ -94,11 +94,12 @@ class _DominanceCuts:
     Each cut (t, J) is the row
     sum_j p_j a_j (t - x.xi_j)^k / E[(t - B)_+^k] - 1 <= 0, scaled by its
     benchmark moment so that cuts whose moments differ by orders of
-    magnitude share one scale.  Above order 2, J is None and
-    a_j = [x.xi_j < t]: the row is the smooth moment bound
-    E[(t - x.xi)_+^k] <= E[(t - B)_+^k].  At order 2 (k = 1), J is a
-    boolean mask over the scenarios and a_j = J_j: the row is a linear
-    subset cut, with a constant Jacobian row and no curvature.
+    magnitude share one scale.  The order decides the kind of every cut.
+    Above order 2, J is None and a_j = [x.xi_j < t]: the row is the
+    smooth moment bound E[(t - x.xi)_+^k] <= E[(t - B)_+^k].  At order 2
+    (k = 1), J is a boolean mask over the scenarios, kept as the rows of
+    self.J, and a_j = J_j: the row is a linear subset cut, with a
+    constant Jacobian row and no curvature.
 
     Every cut threshold lies above the lowest benchmark atom min B.  At
     min B the benchmark shortfall moment vanishes, which admits no strict
@@ -123,9 +124,8 @@ class _DominanceCuts:
         # count, depends on the order of the rows
         cuts = sorted(cuts, key=lambda c: c[0])
         self.ts = np.array([t for t, _ in cuts], dtype=float)
-        self.subset = np.array([J is not None for _, J in cuts], dtype=bool)
-        self.J = np.array([np.zeros(self.n, bool) if J is None else J for _, J in cuts],
-                          dtype=bool).reshape(-1, self.n)
+        if self.k == 1.0:
+            self.J = np.array([J for _, J in cuts], dtype=bool).reshape(-1, self.n)
         # a fractional-order moment rounds differently with the other thresholds
         # of its sweep block, so every cut's moment comes from one sorted array
         grid = np.unique(np.append(self.floor, self.ts))
@@ -139,10 +139,10 @@ class _DominanceCuts:
         return self.ts.size + self.n + 1
 
     def _terms(self, x: np.ndarray):
-        """x.xi, t_i - x.xi_j and the cut indicators a_ij."""
+        """x.xi, t_i - x.xi_j and the cut indicators a_ij: J at order 2, [x.xi_j < t_i] above."""
         out = x @ self.xi
         diff = self.ts[:, None] - out[None, :]
-        return out, diff, np.where(self.subset[:, None], self.J, diff > 0.0)
+        return out, diff, self.J if self.k == 1.0 else diff > 0.0
 
     def rows(self, x: np.ndarray):
         """Values and Jacobian of the rows."""
@@ -488,7 +488,11 @@ def _constraint_generation(s, benchmark, p, tol, spec) -> SolveReport:
     cuts = [] if p == 2.0 else [(float(t), None) for t in benchmark.outcomes[1:]]
     iterations = {"newton": 0, "constraint_rounds": 0}
     no_alloc = f"no allocation dominates the benchmark at order {p:g} within tolerance {tol:g}"
-    if s.d == 1:    # the simplex is the single point x = (1), so its verify decides
+    # The simplex is the single point x = (1), so its verify decides.  The interior-point
+    # method cannot: the benchmark is then usually the asset itself, and its dominance
+    # rows have no strict interior.  Without this branch [[1, 2, 3]] at order 3 with
+    # RiskSpec(0.5, 2), benchmark the asset, stops at the iteration limit unconverged.
+    if s.d == 1:
         w = PortfolioWeights([1.0])
         cert = verify(portfolio_return_variable(s, w), benchmark, p, tol)
         ok = cert.worst_gap <= tol

@@ -160,10 +160,8 @@ def risk_gradient_in_weights(
     if not mask.any():
         return np.zeros(s.d)
     pm, um = s.scenario_probabilities[mask], u[mask]
+    # at r = 1 the exponents are 0, so coef is pm exactly
     r = spec.r
-    if r == 1.0:
-        coef = pm
-    else:
-        S = float(np.dot(pm, um**r))
-        coef = S ** (1.0 / r - 1.0) * pm * um ** (r - 1.0)
+    S = float(np.dot(pm, um**r))
+    coef = S ** (1.0 / r - 1.0) * pm * um ** (r - 1.0)
     return (1.0 / (1.0 - spec.beta)) * (spec.losses(s.returns[:, mask]) @ coef)

@@ -56,8 +56,6 @@ def _merge_close_outcomes(z: np.ndarray, p: np.ndarray) -> tuple[np.ndarray, np.
     The merged atom sits at the probability-weighted mean of its group,
     which preserves total mass exactly and the mean to rounding.
     """
-    if z.size == 1:
-        return z, p
     gaps = np.diff(z)
     scale = np.maximum(1.0, np.maximum(np.abs(z[:-1]), np.abs(z[1:])))
     starts = np.concatenate(([True], gaps > MERGE_TOL * scale))

@@ -17,19 +17,23 @@ Runs fixed sweeps and writes the outcome of every run to --out:
   (``uneven_returns``) at (4.7, .8, 3);
 - the 22 random instances with the equal-weight benchmark raised by each
   of ``SHIFTS``, which can leave no dominating portfolio, in 3 columns:
-  max-return at orders 2 and 3 and min-risk at (2, .9, 1).
+  max-return at orders 2 and 3 and min-risk at (2, .9, 1);
+- ``verify`` on the 40 seeded small pairs of ``verify_pair`` and the two
+  10^3-atom pairs of ``large_verify_pair``, at each of ``VERIFY_ORDERS``
+  (one column per order), recording the certificate's fields.
 
-It prints, per column, the converged count and the Newton iterations;
-with --baseline, also how many objectives are better, equal or worse
-than the baseline's by more than 1e-9 max(1, |baseline|).  A shifted
-column prints its infeasible, converged and unconverged counts and its
-constraint-generation rounds instead.  With --baseline it then prints
-how many runs equal the baseline's in every field of ``PARITY_FIELDS``
-(the score bit for bit), and lists up to 10 runs that differ, field by
-field.  When scipy is installed it prints
-the largest difference from the HiGHS LP optimum of the order-2
-max-return and CVaR columns, random and factor, and how many order-2
-shifted runs' infeasible verdicts disagree with HiGHS.  --src picks
+It prints, per optimizer column, the converged count and the Newton
+iterations; with --baseline, also how many objectives are better, equal
+or worse than the baseline's by more than 1e-9 max(1, |baseline|).  A
+shifted column prints its infeasible, converged and unconverged counts
+and its constraint-generation rounds instead, and a verify column its
+dominating count and evaluated thresholds.  With --baseline it then
+prints how many runs equal the baseline's in every field they record
+(floats bit for bit), and lists up to 10 runs that differ, field by
+field.  When scipy is installed it prints the largest difference from
+the HiGHS LP optimum of the order-2 max-return and CVaR columns, random
+and factor, and how many order-2 shifted runs' infeasible verdicts
+disagree with HiGHS.  --src picks
 the stochdom sources to import, so the same script measures another
 checkout.  It is not a test module: pytest does not collect it.
 """
@@ -70,7 +74,7 @@ SHIFTED_COLUMNS = {
     "shifted max-return p3": (3.0, None),
     "shifted (2, .9, 1)": (2.0, (0.9, 1.0)),
 }
-PARITY_FIELDS = ("converged", "infeasible", "newton", "rounds", "message", "score")
+VERIFY_ORDERS = (1.0, 2.0, 2.5, 3.0, 4.0, 4.7, 6.0)
 
 
 def sweep_instance(k: int) -> np.ndarray:
@@ -102,6 +106,31 @@ def uneven_returns(seed: int) -> tuple[np.ndarray, np.ndarray]:
     return returns, rng.dirichlet(np.full(n, 0.5))
 
 
+def verify_pair(k: int):
+    """Small pair k, (Y, X) as (outcomes, probabilities) pairs.  X has 2 to 11 atoms.  Y is
+    independent of X for k % 4 == 0, X contracted halfway to its mean for k % 4 == 1 (so
+    the tail's mean term vanishes and a higher moment leads), and that contraction shifted
+    by a seeded amount otherwise."""
+    rng = np.random.default_rng([2, k])
+    n = int(rng.integers(2, 12))
+    x = np.round(rng.normal(0.0, 2.0, n), 2), rng.dirichlet(np.ones(n))
+    if k % 4 == 0:
+        m = int(rng.integers(2, 12))
+        return (np.round(rng.normal(0.0, 2.0, m), 2), rng.dirichlet(np.ones(m))), x
+    shift = 0.0 if k % 4 == 1 else float(np.round(rng.normal(0.0, 0.3), 3))
+    return (0.5 * (x[0] + x[0] @ x[1]) + shift, x[1]), x
+
+
+def large_verify_pair(k: int):
+    """10^3-atom pair k: Y a contraction of X shifted up (k = 0), or an independent
+    sample with uneven probabilities (k = 1)."""
+    rng = np.random.default_rng([3, k])
+    x = rng.normal(0.0, 1.0, 1000), np.full(1000, 1e-3)
+    if k == 0:
+        return (0.8 * x[0] + 0.01, x[1]), x
+    return (rng.normal(0.05, 1.1, 1000), rng.dirichlet(np.full(1000, 4.0))), x
+
+
 def _runs():
     """(column, instance, returns, probabilities or None, order, (beta, r) or None,
     benchmark shift)."""
@@ -121,6 +150,25 @@ def _runs():
         for k in range(22):
             for shift in SHIFTS:
                 yield column, f"{k}/{shift:g}", sweep_instance(k), None, order, risk, shift
+
+
+def verify_runs(sd) -> list[dict]:
+    """The certificate of every verify pair at every order of VERIFY_ORDERS."""
+    pairs = [(k, verify_pair(k)) for k in range(40)]
+    pairs += [(f"n1000-{k}", large_verify_pair(k)) for k in range(2)]
+    out = []
+    for order in VERIFY_ORDERS:
+        for inst, (y, x) in pairs:
+            rec = {"column": f"verify p{order:g}", "instance": inst}
+            try:
+                cert = sd.verify(sd.DiscreteRandomVariable(*y), sd.DiscreteRandomVariable(*x), order)
+                rec.update({f: getattr(cert, f) for f in
+                            ("dominates", "worst_t", "worst_gap", "upper_bound", "binding",
+                             "checked_points")})
+            except Exception as exc:  # a raising run is recorded, not fatal
+                rec.update(binding=f"raised {exc!r}")
+            out.append(rec)
+    return out
 
 
 def run_all(sd) -> list[dict]:
@@ -146,7 +194,7 @@ def run_all(sd) -> list[dict]:
             rec.update(score=None, converged=False, newton=0, message=f"raised {exc!r}",
                        infeasible=False, rounds=0)
         out.append(rec)
-    return out
+    return out + verify_runs(sd)
 
 
 def lp_differences(sd, runs: list[dict]) -> dict[str, float]:
@@ -206,16 +254,22 @@ def _outcomes(rows: list[dict]) -> str:
             f"{len(rows) - infeasible - converged:2d} rounds {sum(r['rounds'] for r in rows):4d}")
 
 
+def _verdicts(rows: list[dict]) -> str:
+    return (f"dominates {sum(bool(r.get('dominates')) for r in rows):2d} checked_points "
+            f"{sum(r.get('checked_points', 0) for r in rows):6d}")
+
+
 def summarize(runs: list[dict], baseline: list[dict] | None) -> list[str]:
     base = {(b["column"], str(b["instance"])): b for b in baseline or []}
     columns = list(dict.fromkeys(r["column"] for r in runs))
     lines = []
     for column in columns:
         rows = [r for r in runs if r["column"] == column]
-        if column in SHIFTED_COLUMNS:
+        if column in SHIFTED_COLUMNS or column.startswith("verify"):
+            count = _outcomes if column in SHIFTED_COLUMNS else _verdicts
             old = [b for b in baseline or [] if b["column"] == column]
-            lines.append(f"{column:26s} {_outcomes(rows)} of {len(rows)}"
-                         + (f" | baseline {_outcomes(old)}" if old else ""))
+            lines.append(f"{column:26s} {count(rows)} of {len(rows)}"
+                         + (f" | baseline {count(old)}" if old else ""))
             continue
         line = (f"{column:26s} converged {sum(r['converged'] for r in rows):3d}/{len(rows):<3d}"
                 f" newton {sum(r['newton'] for r in rows):6d}")
@@ -235,10 +289,10 @@ def summarize(runs: list[dict], baseline: list[dict] | None) -> list[str]:
 
 
 def parity(runs: list[dict], baseline: list[dict]) -> list[str]:
-    """How many runs equal their baseline record in every field of PARITY_FIELDS, then
+    """How many runs equal their baseline record in every field either records, then
     the first 10 runs that do not, with each differing field's baseline and new value.
 
-    Values compare by their JSON text, so scores must match bit for bit.
+    Values compare by their JSON text, so floats must match bit for bit.
     """
     base = {(b["column"], str(b["instance"])): b for b in baseline}
     differ = []
@@ -247,12 +301,11 @@ def parity(runs: list[dict], baseline: list[dict]) -> list[str]:
         if b is None:
             differ.append((r, ["no baseline record"]))
             continue
-        fields = [f"{f} {b[f]!r} -> {r[f]!r}" for f in PARITY_FIELDS
-                  if json.dumps(r[f]) != json.dumps(b[f])]
+        fields = [f"{f} {b.get(f)!r} -> {r.get(f)!r}" for f in {**b, **r}
+                  if f not in ("column", "instance") and json.dumps(r.get(f)) != json.dumps(b.get(f))]
         if fields:
             differ.append((r, fields))
-    lines = [f"{len(runs) - len(differ)} of {len(runs)} runs match the baseline in every field"
-             f" ({', '.join(PARITY_FIELDS)})"]
+    lines = [f"{len(runs) - len(differ)} of {len(runs)} runs match the baseline in every field"]
     for r, fields in differ[:10]:
         lines.append(f"  {r['column']} {r['instance']}: " + "; ".join(fields))
     if len(differ) > 10:

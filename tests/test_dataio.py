@@ -100,6 +100,28 @@ class TestLoadScenarios:
         assert s2.asset_labels == s.asset_labels
         assert np.array_equal(s2.returns, s.returns)
 
+    @pytest.mark.parametrize("labels, probs, match", [
+        # load_scenarios would drop a first date column: one asset fewer
+        (("Date", "B"), None, "'Date'.*date column"),
+        # it strips every header cell
+        ((" A", "B"), None, "' A'.*whitespace"),
+        # the dump appends a 'probability' column, and the reload reads the asset
+        (("probability", "B"), [0.2, 0.3, 0.5], "'probability'.*probability column"),
+        # it skips a header row of empty cells as blank
+        (("", ""), None, "''.*blank header"),
+    ], ids=["date", "whitespace", "probability", "empty"])
+    def test_labels_that_would_not_reload_are_refused(self, tmp_path, labels, probs, match):
+        s = ScenarioSet(np.array([[1.0, 2.0, 3.0], [3.0, 4.0, 5.0]]), probs, labels)
+        with pytest.raises(DomainError, match=match):
+            dump_scenarios(s, tmp_path / "dump.csv")
+
+    @pytest.mark.parametrize("labels", [("B", "Date"), ("probability", "B")])
+    def test_labels_refused_only_in_place_round_trip(self, tmp_path, labels):
+        # a date label after the first column, or 'probability' with uniform probabilities
+        s = ScenarioSet(np.array([[1.0, 2.0, 3.0], [3.0, 4.0, 5.0]]), asset_labels=labels)
+        dump_scenarios(s, tmp_path / "dump.csv")
+        assert load_scenarios(tmp_path / "dump.csv").asset_labels == labels
+
 
 class TestLoadVariable:
     def test_outcome_and_probability_columns(self, tmp_path):

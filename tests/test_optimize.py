@@ -465,3 +465,11 @@ def test_parity_compares_every_field_and_scores_bit_for_bit():
     lines = parity([rec, {**other, "newton": 13, "score": nudged}], [rec, other])
     assert lines[0].startswith("1 of 2 runs match the baseline in every field")
     assert lines[1:] == [f"  demo 3/0/1: newton 12 -> 13; score 0.1 -> {nudged!r}"]
+
+
+def test_parity_compares_verify_records_in_every_field():
+    rec = {"column": "verify p3", "instance": 0, "dominates": False, "worst_t": 1.5,
+           "worst_gap": 0.25, "upper_bound": float("inf"), "binding": "mean", "checked_points": 7}
+    assert parity([rec], [dict(rec)])[0].startswith("1 of 1 runs match")
+    lines = parity([{**rec, "checked_points": 8}], [rec])
+    assert lines[1:] == ["  verify p3 0: checked_points 7 -> 8"]

@@ -299,20 +299,18 @@ class TestCliSolve:
         ])
         assert code == EXIT_IO
 
-    def test_sd_seed_env_override(self, data_csv, tmp_path, capsys, monkeypatch):
+    @pytest.mark.parametrize("env", ["7", "x"])
+    def test_sd_seed_changes_nothing(self, data_csv, tmp_path, monkeypatch, env):
+        # the seed field comes from --seed alone, whatever SD_SEED holds
         out = tmp_path / "r.json"
-        monkeypatch.setenv("SD_SEED", "7")
-        code = main(["max-return", "--data", str(data_csv), "--order", "3",
-                     "--seed", "42", "--json", str(out)])
-        assert code == EXIT_OK
-        payload = json.loads(out.read_text(encoding="utf-8"))
-        assert payload["seed"] == 7
-
-    def test_malformed_sd_seed_is_usage_error(self, data_csv, monkeypatch, capsys):
-        monkeypatch.setenv("SD_SEED", "x")
-        code = main(["max-return", "--data", str(data_csv), "--order", "3"])
-        assert code == EXIT_USAGE
-        assert "SD_SEED must be an integer" in capsys.readouterr().err
+        args = ["max-return", "--data", str(data_csv), "--order", "3", "--seed", "42",
+                "--json", str(out)]
+        assert main(args) == EXIT_OK
+        plain = out.read_text(encoding="utf-8")
+        monkeypatch.setenv("SD_SEED", env)
+        assert main(args) == EXIT_OK
+        assert out.read_text(encoding="utf-8") == plain
+        assert json.loads(plain)["seed"] == 42
 
     def test_plot_written(self, data_csv, tmp_path):
         svg = tmp_path / "alloc.svg"
