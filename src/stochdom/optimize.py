@@ -11,15 +11,15 @@ cut multipliers prove that no portfolio passes it (see `_ipm`), or the
 loop stops and returns the last round's weights, which may not dominate.
 
 The dominance cuts are one list of pairs (t, J), each a row in the
-weights x (see `_DominanceCuts`).  Above order 2, J is None and the cut
-is the smooth moment bound E[(t - x.xi)_+^k] <= E[(t - B)_+^k]; the list
-starts at the benchmark atoms above the lowest (the floor rows cover
-that one) and the loop adds the worst violated threshold.  At order 2
-dominance holds iff it holds at the benchmark atoms, and E[(t - x.xi)_+]
-is the largest of the linear sums sum_{j in J} p_j (t - x.xi_j) over
-scenario subsets J (Rudolf & Ruszczynski, SIAM J. Optim. 2008), so the
-list starts empty and the loop adds linear subset cuts (t, J), J the
-mask {j : x.xi_j < t}, at the most violated atoms.
+weights x (see `_DominanceCuts`); the order decides only their kind.
+Above order 2, J is None and the cut is the smooth moment bound
+E[(t - x.xi)_+^k] <= E[(t - B)_+^k].  At order 2 dominance holds iff it
+holds at the benchmark atoms, and E[(t - x.xi)_+] is the largest of the
+linear sums sum_{j in J} p_j (t - x.xi_j) over scenario subsets J
+(Rudolf & Ruszczynski, SIAM J. Optim. 2008), so J is the mask
+{j : x.xi_j < t} of a linear subset cut.  At every order the list starts
+empty (the floor rows cover the lowest benchmark atom) and each round
+adds cuts at the thresholds most violated by its weights (see `_new_cuts`).
 
 The min-risk objective is lifted over (x, q, u) with tail-excess rows
 u_j >= L_j(x) - q and u_j >= 0: at r = 1 it is q + p.u / (1 - beta)
@@ -55,11 +55,10 @@ from .types import (
 NEWTON_MAX_ITER = 100
 NEWTON_TOL = 1e-10
 # Constraint-generation rounds that may add cuts; one more round then solves
-# with them.  A round adds one smooth cut above order 2, and up to
-# SUBSET_CUTS_PER_ROUND subset cuts at order 2.
+# with them.  A round adds up to CUTS_PER_ROUND cuts.
 MAX_GENERATED_CONSTRAINTS = 50
-# Order-2 subset cuts a round adds, at the most violated benchmark atoms.
-SUBSET_CUTS_PER_ROUND = 10
+# Cuts a round adds at most, at the most violated thresholds.
+CUTS_PER_ROUND = 10
 
 
 @dataclass(frozen=True, eq=False)
@@ -483,9 +482,7 @@ def _constraint_generation(s, benchmark, p, tol, spec) -> SolveReport:
         )
     if not (np.isfinite(tol) and tol > 0):
         raise DomainError(f"tol must be finite and > 0, got {tol!r}")
-    lowest = float(benchmark.outcomes[0])
-    # order 2 starts with no cut; above it, one smooth cut at each atom above the lowest
-    cuts = [] if p == 2.0 else [(float(t), None) for t in benchmark.outcomes[1:]]
+    cuts = []
     iterations = {"newton": 0, "constraint_rounds": 0}
     no_alloc = f"no allocation dominates the benchmark at order {p:g} within tolerance {tol:g}"
     # The simplex is the single point x = (1), so its verify decides.  The interior-point
@@ -513,16 +510,8 @@ def _constraint_generation(s, benchmark, p, tol, spec) -> SolveReport:
         if gap <= tol:
             return _report(s, benchmark, p, spec, w, cert, cuts, iterations, res.converged,
                            res.message)
-        stop = None
-        if p == 2.0:
-            new = _subset_cuts(s, benchmark, w, port, tol, cuts)
-            if not new:
-                stop = "no new subset cut: every violated atom's cut (t, J) is already in the model"
-        else:
-            t = float(cert.worst_t)
-            new = [(t, None)]
-            if any(abs(t - c) <= 1e-9 * max(1.0, abs(t)) for c in [lowest, *(c for c, _ in cuts)]):
-                stop = f"the worst threshold t = {t:.10g} repeats a cut"
+        new = _new_cuts(s, benchmark, p, w, port, cert, tol, cuts)
+        stop = None if new else "no new cut: every violated threshold's cut is already in the model"
         if stop is None and iterations["constraint_rounds"] > MAX_GENERATED_CONSTRAINTS:
             stop = f"the budget of {MAX_GENERATED_CONSTRAINTS} cut-adding rounds ran out"
         if stop is not None:
@@ -531,28 +520,36 @@ def _constraint_generation(s, benchmark, p, tol, spec) -> SolveReport:
         cuts.extend(new)
 
 
-def _subset_cuts(s, benchmark, w, port, tol, cuts) -> list:
-    """New order-2 subset cuts (t, J) at the weights w, whose return variable is port.
+def _new_cuts(s, benchmark, p, w, port, cert, tol, cuts) -> list:
+    """New cuts (t, J) at the weights w, whose return variable is port with certificate cert.
 
-    The shortfall gap E[(t - x.xi)_+] - E[(t - B)_+] is evaluated at every
-    benchmark atom with E[(t - B)_+] > 0 (all but the lowest, which the
-    floor rows cover).  At most SUBSET_CUTS_PER_ROUND atoms with a gap
-    above tol, most violated relative to E[(t - B)_+] (the scale of the
-    cut rows) first, each give J = {j : x.xi_j < t}, the subset on which
-    the cut is tight at w; a (t, J) already in cuts is skipped.
+    The candidates are the benchmark atoms above the lowest (the floor rows
+    cover that one) and, above order 2, verify's worst threshold when it
+    lies above the lowest atom.  The gap E[(t - x.xi)_+^k] - E[(t - B)_+^k]
+    is evaluated at each; at most CUTS_PER_ROUND candidates with a gap
+    above tol, most violated relative to E[(t - B)_+^k] (the scale of the
+    cut rows) first, each give a cut: J is None above order 2, and at
+    order 2 the subset {j : x.xi_j < t} on which the cut is tight at w.
+    A candidate is skipped when a cut with the same J already sits within
+    1e-9 max(1, |t|) of t.
     """
-    ts = np.unique(benchmark.outcomes)[1:]
-    gaps = _Shortfall(1.0, port, benchmark)(ts)
+    k = p - 1.0
+    ts = benchmark.outcomes[1:]
+    if k > 1.0 and cert.worst_t > benchmark.outcomes[0]:
+        ts = np.append(ts, cert.worst_t)
+    gaps = _Shortfall(k, port, benchmark)(ts)
     viol = np.flatnonzero(gaps > tol)
-    rel = gaps[viol] / _Shortfall(1.0, benchmark)(ts[viol])
+    rel = gaps[viol] / _Shortfall(k, benchmark)(ts[viol])
     out = w.weights @ s.returns
-    seen = {(t, J.tobytes()) for t, J in cuts}
     new = []
     for i in viol[np.argsort(-rel, kind="stable")]:
-        t, J = float(ts[i]), out < ts[i]
-        if (t, J.tobytes()) not in seen:
+        t = float(ts[i])
+        J = out < t if k == 1.0 else None
+        # every cut of one order has the same kind: J is None for all or for none
+        if not any(abs(t - c) <= 1e-9 * max(1.0, abs(t)) and (J is None or np.array_equal(J, H))
+                   for c, H in [*cuts, *new]):
             new.append((t, J))
-            if len(new) == SUBSET_CUTS_PER_ROUND:
+            if len(new) == CUTS_PER_ROUND:
                 break
     return new
 
@@ -567,10 +564,9 @@ def _report(s, benchmark, p, spec, w, cert, cuts, iterations, converged, message
             iterations=iterations, infeasible=True, message=message,
         )
     port = portfolio_return_variable(s, w)
-    # of the benchmark atoms and then the thresholds added above order 2 (order-2
-    # cuts sit at atoms), the worst, then those whose gap is within 1e-6 of active, worst first
-    atoms = benchmark.outcomes
-    ts = atoms if p == 2.0 else np.append(atoms[0], [t for t, _ in cuts])
+    # of the benchmark atoms and the cut thresholds, the worst, then those whose gap
+    # is within 1e-6 of active, worst first
+    ts = np.union1d(benchmark.outcomes, [t for t, _ in cuts])
     gaps = _Shortfall(p - 1.0, port, benchmark)(ts)
     active = [float(cert.worst_t)]
     for i in np.argsort(-gaps, kind="stable"):

@@ -26,7 +26,8 @@ It prints, per optimizer column, the converged count and the Newton
 iterations; with --baseline, also how many objectives are better, equal
 or worse than the baseline's by more than 1e-9 max(1, |baseline|).  A
 shifted column prints its infeasible, converged and unconverged counts
-and its constraint-generation rounds instead, and a verify column its
+and its constraint-generation rounds instead (with --baseline, also its
+better, equal and worse objectives), and a verify column its
 dominating count and evaluated thresholds.  With --baseline it then
 prints how many runs equal the baseline's in every field they record
 (floats bit for bit), and lists up to 10 runs that differ, field by
@@ -259,6 +260,18 @@ def _verdicts(rows: list[dict]) -> str:
             f"{sum(r.get('checked_points', 0) for r in rows):6d}")
 
 
+def _better_equal_worse(rows: list[dict], base: dict) -> str:
+    """How many scores are below, within or above their baseline's by 1e-9 max(1, |baseline|)."""
+    tally = [0, 0, 0]
+    for r in rows:
+        b = base.get((r["column"], str(r["instance"])))
+        if b is None or b["score"] is None or r["score"] is None:
+            continue
+        tol = 1e-9 * max(1.0, abs(b["score"]))
+        tally[0 if r["score"] < b["score"] - tol else 2 if r["score"] > b["score"] + tol else 1] += 1
+    return f"better/equal/worse {tally[0]}/{tally[1]}/{tally[2]}"
+
+
 def summarize(runs: list[dict], baseline: list[dict] | None) -> list[str]:
     base = {(b["column"], str(b["instance"])): b for b in baseline or []}
     columns = list(dict.fromkeys(r["column"] for r in runs))
@@ -268,22 +281,20 @@ def summarize(runs: list[dict], baseline: list[dict] | None) -> list[str]:
         if column in SHIFTED_COLUMNS or column.startswith("verify"):
             count = _outcomes if column in SHIFTED_COLUMNS else _verdicts
             old = [b for b in baseline or [] if b["column"] == column]
-            lines.append(f"{column:26s} {count(rows)} of {len(rows)}"
-                         + (f" | baseline {count(old)}" if old else ""))
+            line = f"{column:26s} {count(rows)} of {len(rows)}"
+            if old:
+                line += f" | baseline {count(old)}"
+                if column in SHIFTED_COLUMNS:
+                    line += f"; {_better_equal_worse(rows, base)}"
+            lines.append(line)
             continue
         line = (f"{column:26s} converged {sum(r['converged'] for r in rows):3d}/{len(rows):<3d}"
                 f" newton {sum(r['newton'] for r in rows):6d}")
         if baseline is not None:
-            tally = [0, 0, 0]
             old = [base.get((column, str(r["instance"]))) for r in rows]
-            for r, b in zip(rows, old):
-                if b is None or b["score"] is None or r["score"] is None:
-                    continue
-                tol = 1e-9 * max(1.0, abs(b["score"]))
-                tally[0 if r["score"] < b["score"] - tol else 2 if r["score"] > b["score"] + tol else 1] += 1
             line += (f" | baseline converged {sum(bool(b and b['converged']) for b in old):3d},"
                      f" newton {sum(b['newton'] for b in old if b):6d};"
-                     f" better/equal/worse {tally[0]}/{tally[1]}/{tally[2]}")
+                     f" {_better_equal_worse(rows, base)}")
         lines.append(line)
     return lines
 

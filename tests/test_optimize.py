@@ -12,6 +12,7 @@ from stochdom import (
     RiskSpec,
     ScenarioSet,
     higher_order_risk,
+    lower_partial_moment,
     optimize_max_return,
     optimize_min_risk,
     portfolio_return_variable,
@@ -29,7 +30,7 @@ from tests.oracles import (
     min_risk_grid_search,
     order2_feasible_lp,
 )
-from tests.parity_sweep import factor_returns, parity, sweep_instance, uneven_returns
+from tests.parity_sweep import factor_returns, parity, summarize, sweep_instance, uneven_returns
 
 
 def factor_model(rng: np.random.Generator, d: int, n: int) -> np.ndarray:
@@ -70,7 +71,7 @@ class TestTolerance:
         assert optimize.NEWTON_MAX_ITER == 100
         assert optimize.NEWTON_TOL == 1e-10
         assert optimize.MAX_GENERATED_CONSTRAINTS == 50
-        assert optimize.SUBSET_CUTS_PER_ROUND == 10
+        assert optimize.CUTS_PER_ROUND == 10
 
     def test_validation(self, demo, demo_benchmark, tmp_path):
         for tol in (0.0, -1.0, float("nan"), float("inf")):
@@ -291,6 +292,51 @@ class TestMaxReturnDriver:
         cert = verify(portfolio_return_variable(s, report.weights), bench, 2.0, DEFAULT_VERIFY_TOL)
         assert report.dominance_residual == max(0.0, cert.worst_gap) > DEFAULT_VERIFY_TOL
 
+    @pytest.mark.parametrize("p", [2.0, 3.0, 4.7])
+    def test_round_with_no_new_cut_stops(self, p, monkeypatch):
+        # with no interior-point iteration every round returns equal weights, so the
+        # second round finds only the cuts the first one added
+        monkeypatch.setattr(optimize, "NEWTON_MAX_ITER", 0)
+        s = ScenarioSet(sweep_instance(0))
+        bench = portfolio_return_variable(
+            s, PortfolioWeights(np.random.default_rng(0).dirichlet(np.ones(5))))
+        report = optimize_max_return(s, bench, p)
+        assert report.iterations["constraint_rounds"] == 2
+        assert not report.converged and not report.infeasible
+        assert ("constraint generation stopped (no new cut: every violated threshold's cut "
+                "is already in the model)") in report.message
+        assert report.dominance_residual > DEFAULT_VERIFY_TOL
+
+    @pytest.mark.parametrize("p", [2.0, 3.0, 4.7])
+    def test_rounds_add_only_violated_cuts(self, p, demo, demo_benchmark, monkeypatch):
+        rounds = []
+        refine = optimize.newton_refine
+
+        def spy(s, benchmark, order, spec, cuts, tol):
+            out = refine(s, benchmark, order, spec, cuts, tol)
+            rounds.append((list(cuts), out[0]))
+            return out
+
+        monkeypatch.setattr(optimize, "newton_refine", spy)
+        report = optimize_max_return(demo, demo_benchmark, p)
+        assert report.converged
+        assert len(rounds) == report.iterations["constraint_rounds"] >= 2
+        assert rounds[0][0] == []
+        for (before, w), (after, _) in zip(rounds, rounds[1:]):
+            assert [t for t, _ in after[: len(before)]] == [t for t, _ in before]
+            added = after[len(before):]
+            assert 1 <= len(added) <= optimize.CUTS_PER_ROUND
+            port = portfolio_return_variable(demo, w)
+            out = w.weights @ demo.returns
+            for t, J in added:
+                gap = (lower_partial_moment(port, t, p - 1.0)
+                       - lower_partial_moment(demo_benchmark, t, p - 1.0))
+                assert gap > DEFAULT_VERIFY_TOL
+                if p == 2.0:
+                    assert np.array_equal(J, out < t)
+                else:
+                    assert J is None
+
     def test_budget_counts_only_generated_thresholds(self):
         # 60 benchmark atoms exceed the 50-threshold budget on their own
         s = ScenarioSet(factor_model(np.random.default_rng(1), 4, 60))
@@ -473,3 +519,15 @@ def test_parity_compares_verify_records_in_every_field():
     assert parity([rec], [dict(rec)])[0].startswith("1 of 1 runs match")
     lines = parity([{**rec, "checked_points": 8}], [rec])
     assert lines[1:] == ["  verify p3 0: checked_points 7 -> 8"]
+
+
+def test_summarize_tallies_shifted_objectives_against_the_baseline():
+    rec = {"column": "shifted max-return p3", "instance": "12/0.001", "converged": True,
+           "infeasible": False, "newton": 40, "rounds": 3, "message": None, "score": -1.0}
+    base = [rec, {**rec, "instance": "9/0.001"}, {**rec, "instance": "1/0.001"}]
+    runs = [{**rec, "score": -1.0 - 2e-9}, {**base[1], "score": -1.0 + 3e-9},
+            {**base[2], "score": -1.0 + 5e-10}]
+    (line,) = summarize(runs, base)
+    assert line.endswith("| baseline infeasible  0 converged  3 unconverged  0 rounds    9;"
+                         " better/equal/worse 1/1/1")
+    assert "better/equal/worse" not in summarize(runs, None)[0]
