@@ -14,19 +14,21 @@ is never negative.
   together, a row each of the moment table: closed forms for
   derivatives of degree 1 and 2, batched companion-matrix eigenvalues
   above that.
-- Fractional k.  Branch and bound over the segments between atoms.
-  Split g = G+ - G-, the shortfall moments of the positive and negative
-  parts of the signed measure P_Y - P_X.  Both are nondecreasing, and
-  convex for k >= 1.  So on [a, b], g is at most the chord of G+ minus
-  the larger of the tangents of G- at a and b (k >= 1), or
+- Fractional k.  Branch and bound, coarse to fine.  Split g = G+ - G-,
+  the shortfall moments of the positive and negative parts of the
+  signed measure P_Y - P_X.  Both are nondecreasing, and convex for
+  k >= 1, on the whole line.  So on any [a, b], g is at most the chord
+  of G+ minus the larger of the tangents of G- at a and b (k >= 1), or
   G+(b) - G-(a) (k < 1).  Either bound is piecewise linear and concave
   in t, so its maximum is exact.  For k >= 2 a bound from a lower bound
   on g'' follows the curvature of the gap itself, which is far smaller
-  than that of its parts near a maximum.  Each round evaluates every
-  open segment at once and splits only those whose bound exceeds the
-  best gap found by more than 1e-10 max(1, best) plus the rounding of
-  the moment sums; the largest bound left over is the certified
-  supremum.
+  than that of its parts near a maximum.  The search starts from at
+  most about 256 atoms, evenly spaced in index, and each round
+  evaluates every open segment at once, splitting only those whose
+  bound exceeds the best gap found by more than 1e-10 max(1, best) plus
+  the rounding of the moment sums: at their middle atom while they hold
+  atoms, then into equal pieces.  The largest bound left over is the
+  certified supremum.
 - The tail.  Beyond the last atom z_N, with d = t - z_N and
   dM_j = sum_i (w^Y_i - w^X_i) (z_N - z_i)^j (for j < k, the terms that
   grow with d, its exact value rounded once),
@@ -389,8 +391,28 @@ def _series_tail(dm: np.ndarray, k: float, lead: int | None, spread: float, tota
     return peaks, max(top, 0.0 if k < lead else -math.inf) + rest
 
 
+def _segment_bound(k: float, h: np.ndarray, va: np.ndarray, vb: np.ndarray, best: float):
+    """The gap's upper bound on segments of width h with end values va and vb, and which stay open."""
+    bound = vb[:, 0] - va[:, 1]
+    if k >= 1.0:
+        # chord of G+ minus max(tangent of G- at a, tangent at b): its
+        # maximum is at a, at b, or where the tangents cross, c from a
+        sa, sb = k * va[:, 2], k * vb[:, 2]
+        c = np.divide(va[:, 1] - vb[:, 1] + sb * h, sb - sa, out=np.zeros(h.size), where=sb > sa)
+        d = np.stack([np.zeros(h.size), np.minimum(np.maximum(c, 0.0), h), h])
+        chord = va[:, 0] + (vb[:, 0] - va[:, 0]) * (d / h)
+        tangent = np.maximum(va[:, 1] + sa * d, vb[:, 1] - sb * (h - d))
+        bound = np.minimum(bound, (chord - tangent).max(axis=0))
+    if k >= 2.0:
+        m = k * (k - 1.0) * (va[:, 3] - vb[:, 4])
+        ends = np.maximum(va[:, 0] - va[:, 1], vb[:, 0] - vb[:, 1])
+        bound = np.minimum(bound, ends + np.maximum(-m, 0.0) * h * h / 8.0)
+    slack = _REL_GAP * max(1.0, best) + _ROUNDING * (vb[:, 0] + vb[:, 1])
+    return bound, bound > best + slack
+
+
 def _branch_and_bound(f: _Shortfall, pts: np.ndarray):
-    """Maximize the fractional-order gap over [pts[0], pts[-1]], starting from segments between pts.
+    """Maximize the fractional-order gap over [pts[0], pts[-1]], pts the merged atoms and the window end.
 
     On a segment [a, b], with G+ and G- the shortfall moments of the
     positive and negative parts of P_Y - P_X, the gap is at most
@@ -402,13 +424,18 @@ def _branch_and_bound(f: _Shortfall, pts: np.ndarray):
       moments of order k - 2, nondecreasing.  This one follows the
       curvature of the gap rather than of its parts, which is what
       decides how fine a segment around a maximum must get.
-    The smallest applicable bound is used.
+    The smallest applicable bound is used.  All three hold on any
+    interval, so with N atoms the search starts from every
+    ceil(N / _ROUND_POINTS)-th atom, the last atom and the window end
+    (every atom when N <= _ROUND_POINTS).  An open segment that holds
+    atoms splits at its middle atom; one that holds none splits into 2
+    to _MAX_PIECES equal pieces.
 
     Returns every threshold evaluated, its gap, the certified upper
     bound on the gap over the interval, and the number of thresholds
     passed to the evaluator.  A segment too narrow to split in floats
     is done; so is every open segment once the next round would pass
-    _EVALUATIONS evaluations per starting threshold plus
+    _EVALUATIONS evaluations per atom or window end plus
     _BASE_EVALUATIONS.  Their bounds go into the upper bound, which
     stays certified but may then exceed the best gap by more than the
     refinement tolerance.
@@ -417,35 +444,42 @@ def _branch_and_bound(f: _Shortfall, pts: np.ndarray):
     parts = np.stack([np.maximum(f.w, 0.0), np.maximum(-f.w, 0.0)], axis=1)
     # columns: G+, G-, then G-'s order k - 1 moment, then Q+ and Q-
     weights = [parts, parts[:, 1:], parts][:1 + (k >= 1.0) + (k >= 2.0)]
-    vals = f.sweep(pts, weights)
-    seen_t, seen_v = [pts], [vals]
-    evaluations = pts.size
-    gap = vals[:, 0] - vals[:, 1]
-    best = float(gap.max())
+    n = pts.size - 1
+    start = np.unique(np.append(np.arange(0, n, math.ceil(n / _ROUND_POINTS)), [n - 1, n]))
+    vals = f.sweep(pts[start], weights)
+    seen_t, seen_v = [pts[start]], [vals]
+    evaluations = start.size
+    budget = _EVALUATIONS * pts.size + _BASE_EVALUATIONS
+    best = float((vals[:, 0] - vals[:, 1]).max())
     upper = best
-    a, b, va, vb = pts[:-1], pts[1:], vals[:-1], vals[1:]
+    # segments as indices into pts: an open one that holds atoms splits at
+    # its middle atom; an open one that holds none waits for the loop below
+    ia, ib, va, vb = start[:-1], start[1:], vals[:-1], vals[1:]
+    while (ib - ia > 1).any():
+        bound, open_ = _segment_bound(k, pts[ib] - pts[ia], va, vb, best)
+        keep = open_ & (ib - ia == 1)
+        splits = open_ & ~keep
+        if evaluations + int(splits.sum()) > budget:
+            splits[:] = False
+        done = ~(keep | splits)
+        if done.any():
+            upper = max(upper, float(bound[done].max()))
+        mid = (ia + ib)[splits] // 2
+        new_v = f.sweep(pts[mid], weights)
+        evaluations += mid.size
+        seen_t.append(pts[mid])
+        seen_v.append(new_v)
+        best = float((new_v[:, 0] - new_v[:, 1]).max(initial=best))
+        ia, ib = np.concatenate([ia[keep], ia[splits], mid]), np.concatenate([ib[keep], mid, ib[splits]])
+        va, vb = np.concatenate([va[keep], va[splits], new_v]), np.concatenate([vb[keep], new_v, vb[splits]])
+    a, b = pts[ia], pts[ib]
     while a.size:
         h = b - a
-        bound = vb[:, 0] - va[:, 1]
-        if k >= 1.0:
-            # chord of G+ minus max(tangent of G- at a, tangent at b): its
-            # maximum is at a, at b, or where the tangents cross, c from a
-            sa, sb = k * va[:, 2], k * vb[:, 2]
-            c = np.divide(va[:, 1] - vb[:, 1] + sb * h, sb - sa, out=np.zeros(a.size), where=sb > sa)
-            d = np.stack([np.zeros(a.size), np.minimum(np.maximum(c, 0.0), h), h])
-            chord = va[:, 0] + (vb[:, 0] - va[:, 0]) * (d / h)
-            tangent = np.maximum(va[:, 1] + sa * d, vb[:, 1] - sb * (h - d))
-            bound = np.minimum(bound, (chord - tangent).max(axis=0))
-        if k >= 2.0:
-            m = k * (k - 1.0) * (va[:, 3] - vb[:, 4])
-            ends = np.maximum(va[:, 0] - va[:, 1], vb[:, 0] - vb[:, 1])
-            bound = np.minimum(bound, ends + np.maximum(-m, 0.0) * h * h / 8.0)
-        slack = _REL_GAP * max(1.0, best) + _ROUNDING * (vb[:, 0] + vb[:, 1])
-        open_ = bound > best + slack
+        bound, open_ = _segment_bound(k, h, va, vb, best)
         pieces = min(max(_ROUND_POINTS // max(1, int(open_.sum())), 2), _MAX_PIECES)
         # the new thresholds must be distinct floats strictly inside the segment
         splits = open_ & (h > 4 * pieces * np.spacing(np.abs(a) + np.abs(b)))
-        if evaluations + int(splits.sum()) * (pieces - 1) > _EVALUATIONS * pts.size + _BASE_EVALUATIONS:
+        if evaluations + int(splits.sum()) * (pieces - 1) > budget:
             splits[:] = False
         if (~splits).any():
             upper = max(upper, float(bound[~splits].max()))
@@ -504,15 +538,17 @@ def critical_thresholds(
 ) -> np.ndarray:
     """Ascending thresholds at which the gap was evaluated; their largest gap is its supremum.
 
-    The set holds every atom of both variables and the window end, 10
-    support widths past the last atom.  Integer orders add the real
-    zeros of the gap derivative between atoms and in a bounded tail
-    (order 1 needs none: its gap is constant on (z_m, z_{m+1}]).
-    Fractional orders add every threshold their branch and bound
-    evaluated up to the window end, and the peaks of the truncated tail
-    series past it.  When the gap is unbounded in the tail the set
-    covers the window only.  ``tol`` sets which moment differences
-    count as zero at infinity.
+    The set holds the window end, 10 support widths past the last atom.
+    Integer orders add every atom of both variables and the real zeros
+    of the gap derivative between atoms and in a bounded tail (order 1
+    needs none: its gap is constant on (z_m, z_{m+1}]).  Fractional
+    orders add every threshold their branch and bound evaluated up to
+    the window end (every atom when the variables have N <= 256 atoms
+    together; otherwise every ceil(N / 256)-th atom, the last one and
+    those at which an open segment split), and the peaks of the
+    truncated tail series past the window end.  When the gap is
+    unbounded in the tail the set covers the window only.  ``tol`` sets
+    which moment differences count as zero at infinity.
 
     ``diagnostics``, when given, receives ``gaps`` (the gap at each
     threshold), ``upper_bound`` (the certified supremum, inf when

@@ -15,7 +15,7 @@ from stochdom import (
     mean,
     verify,
 )
-from stochdom.dominance import _Shortfall
+from stochdom.dominance import _ROUND_POINTS, _ROUNDING, _Shortfall
 from tests.conftest import random_variable
 from tests.oracles import (
     dense_grid_gap_max,
@@ -222,6 +222,13 @@ class TestCriticalThresholds:
         # last one: the atoms and the window end are the whole set
         ts = critical_thresholds(golden_y, golden_x, 2.0)
         assert ts.tolist() == [*range(2, 12), 11.0 + 10.0 * (11.0 - 2.0)]
+
+    @pytest.mark.parametrize("p", [1.5, 3.5, 4.7])
+    def test_fractional_small_input_holds_every_atom(self, golden_y, golden_x, p):
+        # up to _ROUND_POINTS merged atoms the branch and bound starts from all of them
+        atoms = np.union1d(golden_y.outcomes, golden_x.outcomes)
+        assert atoms.size <= _ROUND_POINTS
+        assert np.isin(atoms, critical_thresholds(golden_y, golden_x, p)).all()
 
     def test_identity_gap_vanishes_everywhere(self, golden_y):
         ts = critical_thresholds(golden_y, golden_y, 3.0)
@@ -466,6 +473,27 @@ class TestCertifiedSupremum:
             verdicts.add(cert.dominates)
         assert verdicts == {True, False}
 
+    @pytest.mark.parametrize("p", [2.5, 3.5, 4.7])
+    @pytest.mark.parametrize("direction", ["dominates", "fails"])
+    def test_soundness_above_round_points(self, p, direction):
+        # 1500 merged atoms: the branch and bound starts from every sixth
+        # atom and closes segments that hold atoms it never evaluates
+        rng = np.random.default_rng(int(10 * p))
+        base = fat_tailed(rng, 500)
+        spread = mean_preserving_spread(rng, base)
+        y, x = (base, spread) if direction == "dominates" else (spread, base)
+        atoms = np.union1d(y.outcomes, x.outcomes)
+        assert atoms.size > _ROUND_POINTS
+        cert = verify(y, x, p)
+        top = float(_Shortfall(p - 1.0, y, x)(atoms).max())
+        # a segment closes once its bound is within the slack of the best
+        # gap; the rounding part grows with the moments, largest at the last atom
+        rounding = _ROUNDING * (lower_partial_moment(y, atoms[-1], p - 1.0)
+                                + lower_partial_moment(x, atoms[-1], p - 1.0))
+        assert top <= cert.upper_bound
+        assert top <= cert.worst_gap + 1e-10 * max(1.0, abs(cert.worst_gap)) + rounding
+        assert cert.dominates == grid_and_tail_verdict(y, x, p, cert.tolerance)[1]
+
     @pytest.mark.parametrize("direction", ["dominates", "fails"])
     def test_work_count_guard(self, direction):
         # thresholds passed to the fractional evaluator, not seconds
@@ -477,7 +505,7 @@ class TestCertifiedSupremum:
         critical_thresholds(y, x, 4.7, 1e-8, diag)
         merged = np.union1d(y.outcomes, x.outcomes).size
         assert merged >= 1000
-        assert diag["evaluations"] <= 3 * merged
+        assert diag["evaluations"] <= merged // 2
         assert verify(y, x, 4.7).dominates == (direction == "dominates")
 
     def test_binding(self, golden_y, golden_x):
