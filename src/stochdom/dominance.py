@@ -22,12 +22,13 @@ is never negative.
   G+(b) - G-(a) (k < 1).  Either bound is piecewise linear and concave
   in t, so its maximum is exact.  For k >= 2 a bound from a lower bound
   on g'' follows the curvature of the gap itself, which is far smaller
-  than that of its parts near a maximum.  The search starts from at
-  most about 256 atoms, evenly spaced in index, and each round
-  evaluates every open segment at once, splitting only those whose
-  bound exceeds the best gap found by more than 1e-10 max(1, best) plus
-  the rounding of the moment sums: at their middle atom while they hold
-  atoms, then into equal pieces.  The largest bound left over is the
+  than that of its parts near a maximum.  The evaluated thresholds are
+  one sorted array of knots, at first at most about 256 atoms evenly
+  spaced in index.  Each round bounds the gap between every pair of
+  neighbouring knots and splits, in one evaluation, each pair whose
+  bound exceeds the best gap by more than 1e-10 max(1, best) plus the
+  rounding of the moment sums: at its middle atom while it holds atoms,
+  then into equal pieces.  The largest bound of the last round is the
   certified supremum.
 - The tail.  Beyond the last atom z_N, with d = t - z_N and
   dM_j = sum_i (w^Y_i - w^X_i) (z_N - z_i)^j (for j < k, the terms that
@@ -425,85 +426,57 @@ def _branch_and_bound(f: _Shortfall, pts: np.ndarray):
       curvature of the gap rather than of its parts, which is what
       decides how fine a segment around a maximum must get.
     The smallest applicable bound is used.  All three hold on any
-    interval, so with N atoms the search starts from every
+    interval, so with N atoms the knots start at every
     ceil(N / _ROUND_POINTS)-th atom, the last atom and the window end
-    (every atom when N <= _ROUND_POINTS).  An open segment that holds
-    atoms splits at its middle atom; one that holds none splits into 2
-    to _MAX_PIECES equal pieces.
+    (every atom when N <= _ROUND_POINTS).  Each round splits every open
+    pair of neighbouring knots, at its middle atom while it holds atoms,
+    else into 2 to _MAX_PIECES equal pieces.  A pair too narrow to split
+    in floats stays whole; every pair does once the next round would
+    pass _EVALUATIONS evaluations per atom or window end plus
+    _BASE_EVALUATIONS.  The largest bound of the last round is the
+    certified upper bound on the gap over the interval, which may then
+    exceed the best gap by more than the refinement tolerance.
 
-    Returns every threshold evaluated, its gap, the certified upper
-    bound on the gap over the interval, and the number of thresholds
-    passed to the evaluator.  A segment too narrow to split in floats
-    is done; so is every open segment once the next round would pass
-    _EVALUATIONS evaluations per atom or window end plus
-    _BASE_EVALUATIONS.  Their bounds go into the upper bound, which
-    stays certified but may then exceed the best gap by more than the
-    refinement tolerance.
+    Returns the ascending knots, their gaps, the upper bound and the
+    number of thresholds passed to the evaluator.
     """
     k = f.k
     parts = np.stack([np.maximum(f.w, 0.0), np.maximum(-f.w, 0.0)], axis=1)
     # columns: G+, G-, then G-'s order k - 1 moment, then Q+ and Q-
     weights = [parts, parts[:, 1:], parts][:1 + (k >= 1.0) + (k >= 2.0)]
     n = pts.size - 1
-    start = np.unique(np.append(np.arange(0, n, math.ceil(n / _ROUND_POINTS)), [n - 1, n]))
-    vals = f.sweep(pts[start], weights)
-    seen_t, seen_v = [pts[start]], [vals]
-    evaluations = start.size
+    ts = pts[np.unique(np.append(np.arange(0, n, math.ceil(n / _ROUND_POINTS)), [n - 1, n]))]
+    vals = f.sweep(ts, weights)
+    evaluations = ts.size
     budget = _EVALUATIONS * pts.size + _BASE_EVALUATIONS
     best = float((vals[:, 0] - vals[:, 1]).max())
-    upper = best
-    # segments as indices into pts: an open one that holds atoms splits at
-    # its middle atom; an open one that holds none waits for the loop below
-    ia, ib, va, vb = start[:-1], start[1:], vals[:-1], vals[1:]
-    while (ib - ia > 1).any():
-        bound, open_ = _segment_bound(k, pts[ib] - pts[ia], va, vb, best)
-        keep = open_ & (ib - ia == 1)
-        splits = open_ & ~keep
-        if evaluations + int(splits.sum()) > budget:
-            splits[:] = False
-        done = ~(keep | splits)
-        if done.any():
-            upper = max(upper, float(bound[done].max()))
-        mid = (ia + ib)[splits] // 2
-        new_v = f.sweep(pts[mid], weights)
-        evaluations += mid.size
-        seen_t.append(pts[mid])
-        seen_v.append(new_v)
-        best = float((new_v[:, 0] - new_v[:, 1]).max(initial=best))
-        ia, ib = np.concatenate([ia[keep], ia[splits], mid]), np.concatenate([ib[keep], mid, ib[splits]])
-        va, vb = np.concatenate([va[keep], va[splits], new_v]), np.concatenate([vb[keep], new_v, vb[splits]])
-    a, b = pts[ia], pts[ib]
-    while a.size:
-        h = b - a
-        bound, open_ = _segment_bound(k, h, va, vb, best)
+    while True:
+        a, b, h = ts[:-1], ts[1:], np.diff(ts)
+        bound, open_ = _segment_bound(k, h, vals[:-1], vals[1:], best)
+        # atoms strictly inside a segment are pts[lo:hi]
+        lo, hi = np.searchsorted(pts, a, side="right"), np.searchsorted(pts, b, side="left")
+        at_atom = open_ & (hi > lo)
         pieces = min(max(_ROUND_POINTS // max(1, int(open_.sum())), 2), _MAX_PIECES)
         # the new thresholds must be distinct floats strictly inside the segment
-        splits = open_ & (h > 4 * pieces * np.spacing(np.abs(a) + np.abs(b)))
-        if evaluations + int(splits.sum()) * (pieces - 1) > budget:
-            splits[:] = False
-        if (~splits).any():
-            upper = max(upper, float(bound[~splits].max()))
-        if not splits.any():
+        even = open_ & ~at_atom & (h > 4 * pieces * np.spacing(np.abs(a) + np.abs(b)))
+        count = int(at_atom.sum()) + int(even.sum()) * (pieces - 1)
+        if count == 0 or evaluations + count > budget:
             break
-        a, b, va, vb = a[splits], b[splits], va[splits], vb[splits]
-        grid = a[:, None] + (b - a)[:, None] * (np.arange(1, pieces) / pieces)
-        new_t = grid.ravel()
+        grid = a[even, None] + h[even, None] * (np.arange(1, pieces) / pieces)
+        new_t = np.concatenate([pts[(lo + hi - 1)[at_atom] // 2], grid.ravel()])
         new_v = f.sweep(new_t, weights)
         evaluations += new_t.size
-        seen_t.append(new_t)
-        seen_v.append(new_v)
         best = max(best, float((new_v[:, 0] - new_v[:, 1]).max()))
-        knots = np.concatenate([a[:, None], grid, b[:, None]], axis=1)
-        kv = np.concatenate([va[:, None], new_v.reshape(a.size, pieces - 1, -1), vb[:, None]], axis=1)
-        a, b = knots[:, :-1].ravel(), knots[:, 1:].ravel()
-        va, vb = kv[:, :-1].reshape(a.size, -1), kv[:, 1:].reshape(a.size, -1)
+        ts, vals = np.concatenate([ts, new_t]), np.concatenate([vals, new_v])
+        order = np.argsort(ts, kind="stable")
+        ts, vals = ts[order], vals[order]
+    # a closed segment stays closed, as best only grows, so the last
+    # round's bounds cover every segment ever closed
+    upper = max(best, float(bound.max()))
     # the pruning rule leaves the best gap up to 1e-10 max(1, best) short
     # of the supremum; a parabola through the best threshold and its two
     # neighbours usually peaks much closer, at the cost of one evaluation
-    ts = np.concatenate(seen_t)
-    vals = np.concatenate(seen_v)
-    order = np.argsort(ts, kind="stable")
-    ts, gaps = ts[order], (vals[:, 0] - vals[:, 1])[order]
+    gaps = vals[:, 0] - vals[:, 1]
     i = int(np.argmax(gaps))
     if 0 < i < ts.size - 1:
         (t0, t1, t2), (g0, g1, g2) = ts[i - 1:i + 2], gaps[i - 1:i + 2]
@@ -542,12 +515,13 @@ def critical_thresholds(
     Integer orders add every atom of both variables and the real zeros
     of the gap derivative between atoms and in a bounded tail (order 1
     needs none: its gap is constant on (z_m, z_{m+1}]).  Fractional
-    orders add every threshold their branch and bound evaluated up to
-    the window end (every atom when the variables have N <= 256 atoms
-    together; otherwise every ceil(N / 256)-th atom, the last one and
-    those at which an open segment split), and the peaks of the
-    truncated tail series past the window end.  When the gap is
-    unbounded in the tail the set covers the window only.  ``tol`` sets
+    orders add the knots of their branch and bound up to the window end,
+    one sorted array: every atom when the variables have N <= 256 atoms
+    together, otherwise every ceil(N / 256)-th atom and the last one,
+    plus each threshold at which an open segment split (an atom while
+    the segment held atoms).  Then come the peaks of the truncated tail
+    series past the window end.  When the gap is unbounded in the tail
+    the set covers the window only.  ``tol``, a finite real >= 0, sets
     which moment differences count as zero at infinity.
 
     ``diagnostics``, when given, receives ``gaps`` (the gap at each
@@ -559,6 +533,9 @@ def critical_thresholds(
     fractional-order evaluator; 0 at integer orders).
     """
     p = order_value(p)
+    tol = float(tol)
+    if not np.isfinite(tol) or tol < 0.0:
+        raise DomainError(f"tolerance must be a finite real >= 0, got {tol!r}")
     k = p - 1.0
     f = _Shortfall(k, y, x)
     z = f.z
@@ -613,8 +590,6 @@ def verify(
     """
     p = order_value(p)
     tol = float(tol)
-    if not np.isfinite(tol) or tol < 0.0:
-        raise DomainError(f"tolerance must be a finite real >= 0, got {tol!r}")
     diag: dict = {}
     # called positionally through the module global, which a caller may wrap
     ts = critical_thresholds(y, x, p, tol, diag)

@@ -34,5 +34,5 @@ def test_wrapped_names_resolve():
 
 
 def test_thresholds_wrapper_signature():
-    # the traced run calls critical_thresholds(y, x, p, cfg, diagnostics) positionally
+    # the traced run calls critical_thresholds(y, x, p, tol, diagnostics) positionally
     inspect.signature(stochdom.dominance.critical_thresholds).bind(None, None, None, None, None)

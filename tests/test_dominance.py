@@ -42,6 +42,14 @@ def mean_preserving_spread(rng: np.random.Generator, v: DiscreteRandomVariable) 
                                   np.concatenate([p * b / (a + b), p * a / (a + b)]))
 
 
+def spread_pair(seed: int, dominates: bool = True):
+    """fat_tailed(rng, 500) and its mean-preserving spread, 1500 merged atoms; the dominating side first."""
+    rng = np.random.default_rng(seed)
+    base = fat_tailed(rng, 500)
+    spread = mean_preserving_spread(rng, base)
+    return (base, spread) if dominates else (spread, base)
+
+
 @pytest.fixture(scope="module")
 def large_pair():
     """Two independent 10^4-atom samples, Y shifted up by a tenth of a percent."""
@@ -236,8 +244,11 @@ class TestCriticalThresholds:
             assert dominance_gap_at(golden_y, golden_y, 3.0, t) == 0.0
 
     def test_ascending_and_finite(self, golden_y, golden_x):
-        for p in (1.0, 1.5, 2.0, 3.0, 4.7):
-            ts = critical_thresholds(golden_y, golden_x, p)
+        cases = [(golden_y, golden_x, p) for p in (1.0, 1.5, 2.0, 3.0, 4.7)]
+        # above _ROUND_POINTS atoms the knots are merged round by round
+        cases += [(*spread_pair(35, dominates), p) for p in (3.5, 4.7) for dominates in (True, False)]
+        for y, x, p in cases:
+            ts = critical_thresholds(y, x, p)
             assert np.all(np.isfinite(ts))
             assert np.all(np.diff(ts) > 0)
 
@@ -265,6 +276,19 @@ class TestCriticalThresholds:
             assert diag["lead"] == 1             # mean(Y) > mean(X) sends the tail gap down
             assert diag["upper_bound"] >= diag["gaps"].max()
             assert (diag["evaluations"] > 0) == fractional
+        # 1500 merged atoms: each gap must stay with its threshold through the merges
+        for p in (3.5, 4.7):
+            for dominates in (True, False):
+                y, x = spread_pair(35, dominates)
+                diag = {}
+                ts = critical_thresholds(y, x, p, diagnostics=diag)
+                assert np.all(np.diff(ts) > 0)
+                ref = _Shortfall(p - 1.0, y, x)(ts)
+                # far past the atoms a gap is the difference of two moments near 1e7
+                rounding = _ROUNDING * (_Shortfall(p - 1.0, y)(ts) + _Shortfall(p - 1.0, x)(ts))
+                assert np.all(np.abs(diag["gaps"] - ref) <= 1e-12 * np.abs(ref) + rounding)
+                assert diag["upper_bound"] >= diag["gaps"].max()
+                assert diag["evaluations"] > 0
 
 
 class TestVerify:
@@ -365,8 +389,11 @@ class TestVerify:
     def test_invalid_order_and_tolerance(self, golden_y, golden_x):
         with pytest.raises(DomainError):
             verify(golden_y, golden_x, 0.0)
-        with pytest.raises(DomainError):
-            verify(golden_y, golden_x, 2.0, tol=-1e-9)
+        # one check guards both entry points
+        for tol in (-1e-9, -1.0, math.nan, math.inf):
+            for check in (verify, critical_thresholds):
+                with pytest.raises(DomainError):
+                    check(golden_y, golden_x, 3.0, tol)
 
     def test_first_order_verification(self):
         # step-function CDF comparison at atoms and midpoints
@@ -478,10 +505,7 @@ class TestCertifiedSupremum:
     def test_soundness_above_round_points(self, p, direction):
         # 1500 merged atoms: the branch and bound starts from every sixth
         # atom and closes segments that hold atoms it never evaluates
-        rng = np.random.default_rng(int(10 * p))
-        base = fat_tailed(rng, 500)
-        spread = mean_preserving_spread(rng, base)
-        y, x = (base, spread) if direction == "dominates" else (spread, base)
+        y, x = spread_pair(int(10 * p), direction == "dominates")
         atoms = np.union1d(y.outcomes, x.outcomes)
         assert atoms.size > _ROUND_POINTS
         cert = verify(y, x, p)
@@ -497,16 +521,27 @@ class TestCertifiedSupremum:
     @pytest.mark.parametrize("direction", ["dominates", "fails"])
     def test_work_count_guard(self, direction):
         # thresholds passed to the fractional evaluator, not seconds
-        rng = np.random.default_rng(47)
-        base = fat_tailed(rng, 500)
-        spread = mean_preserving_spread(rng, base)
-        y, x = (base, spread) if direction == "dominates" else (spread, base)
+        y, x = spread_pair(47, direction == "dominates")
         diag: dict = {}
         critical_thresholds(y, x, 4.7, 1e-8, diag)
         merged = np.union1d(y.outcomes, x.outcomes).size
         assert merged >= 1000
         assert diag["evaluations"] <= merged // 2
         assert verify(y, x, 4.7).dominates == (direction == "dominates")
+
+    @pytest.mark.parametrize("p", [1.5, 2.5, 3.5, 4.7])
+    @pytest.mark.parametrize("direction", ["dominates", "fails"])
+    def test_upper_bound_sound_when_budget_runs_out(self, monkeypatch, p, direction):
+        # no evaluation past the starting knots: the search stops with segments open
+        monkeypatch.setattr("stochdom.dominance._EVALUATIONS", 0)
+        monkeypatch.setattr("stochdom.dominance._BASE_EVALUATIONS", 0)
+        y, x = spread_pair(int(10 * p), direction == "dominates")
+        diag: dict = {}
+        critical_thresholds(y, x, p, 1e-8, diag)
+        atoms = np.union1d(y.outcomes, x.outcomes)
+        top = float(_Shortfall(p - 1.0, y, x)(atoms).max())
+        grid = grid_and_tail_verdict(y, x, p, 1e-8)[0]
+        assert diag["upper_bound"] >= max(top, grid)
 
     def test_binding(self, golden_y, golden_x):
         # mean(golden_x) < mean(golden_y): at order 2 the gap past the last
