@@ -350,8 +350,11 @@ def _critical_points(f: _Shortfall, lead: int | None, span: float) -> np.ndarray
 def _leading_moment(dm: np.ndarray, span: float, tol: float, limit: int) -> int | None:
     """Index j < limit of the first moment difference that is not negligible, or None."""
     for j in range(min(limit, dm.size)):
-        if abs(dm[j]) > tol * span**j:
-            return j
+        try:
+            if abs(dm[j]) > tol * span**j:
+                return j
+        except OverflowError:   # tol span^j exceeds every moment from here on
+            return None
     return None
 
 

@@ -11,7 +11,7 @@ cut multipliers prove that no portfolio passes it (see `_ipm`), or the
 loop stops and returns the last round's weights, which may not dominate.
 
 The dominance cuts are one list of pairs (t, J), each a row in the
-weights x (see `_DominanceCuts`); the order decides only their kind.
+weights x (see `_Model`); the order decides only their kind.
 Above order 2, J is None and the cut is the smooth moment bound
 E[(t - x.xi)_+^k] <= E[(t - B)_+^k].  At order 2 dominance holds iff it
 holds at the benchmark atoms, and E[(t - x.xi)_+] is the largest of the
@@ -87,91 +87,6 @@ def pso_search(*args, **kwargs):
     raise NotImplementedError("pso_search was removed; each round is solved by an interior-point method")
 
 
-class _DominanceCuts:
-    """Finite family of dominance constraints in x.
-
-    Each cut (t, J) is the row
-    sum_j p_j a_j (t - x.xi_j)^k / E[(t - B)_+^k] - 1 <= 0, scaled by its
-    benchmark moment so that cuts whose moments differ by orders of
-    magnitude share one scale.  The order decides the kind of every cut.
-    Above order 2, J is None and a_j = [x.xi_j < t]: the row is the
-    smooth moment bound E[(t - x.xi)_+^k] <= E[(t - B)_+^k].  At order 2
-    (k = 1), J is a boolean mask over the scenarios, kept as the rows of
-    self.J, and a_j = J_j: the row is a linear subset cut, with a
-    constant Jacobian row and no curvature.
-
-    Every cut threshold lies above the lowest benchmark atom min B.  At
-    min B the benchmark shortfall moment vanishes, which admits no strict
-    sublevel interior (the portfolio moment is nonnegative), so dominance
-    there is the per-scenario linear floor rows min B - x.xi_j <= 0, which
-    do have an interior whenever one exists.  The last row is the mean
-    condition E[benchmark] - E[x.xi] <= 0, which dominance at any order
-    p >= 2 requires.
-    slack[i] bounds row i at any portfolio that passes `verify` at tol.
-    """
-
-    def __init__(self, scenarios: ScenarioSet, benchmark: DiscreteRandomVariable, order, cuts, tol):
-        self.xi = scenarios.returns
-        self.p = scenarios.scenario_probabilities
-        self.mr = scenarios.mean_returns()
-        self.bench_mean = mean(benchmark)
-        self.k = order_value(order) - 1.0
-        self.d, self.n = self.xi.shape
-        self.floor = float(benchmark.outcomes[0])
-        # rows in ascending t (stable), so that the model does not depend on the order the
-        # cuts came in: each Newton solve's rounding, and at times a round's iteration
-        # count, depends on the order of the rows
-        cuts = sorted(cuts, key=lambda c: c[0])
-        self.ts = np.array([t for t, _ in cuts], dtype=float)
-        if self.k == 1.0:
-            self.J = np.array([J for _, J in cuts], dtype=bool).reshape(-1, self.n)
-        # a fractional-order moment rounds differently with the other thresholds
-        # of its sweep block, so every cut's moment comes from one sorted array
-        grid = np.unique(np.append(self.floor, self.ts))
-        self.bench = _Shortfall(self.k, benchmark)(grid)[np.searchsorted(grid, self.ts)]
-        # above order 2 verify lets the mean fall short by tol times the support width
-        mean_slack = tol if self.k == 1.0 else tol * np.ptp(np.append(self.xi, benchmark.outcomes))
-        self.slack = np.concatenate([tol / self.bench, (tol / self.p) ** (1.0 / self.k), [mean_slack]])
-
-    @property
-    def m(self) -> int:
-        return self.ts.size + self.n + 1
-
-    def _terms(self, x: np.ndarray):
-        """x.xi, t_i - x.xi_j and the cut indicators a_ij: J at order 2, [x.xi_j < t_i] above."""
-        out = x @ self.xi
-        diff = self.ts[:, None] - out[None, :]
-        return out, diff, self.J if self.k == 1.0 else diff > 0.0
-
-    def rows(self, x: np.ndarray):
-        """Values and Jacobian of the rows."""
-        out, diff, a = self._terms(x)
-        base = np.where(a, diff, 0.0)
-        cut = (base**self.k) @ self.p / self.bench - 1.0
-        # times a: at k = 1, 0^0 = 1 off the subset
-        w = self.k * base ** (self.k - 1.0) * a
-        return (np.concatenate([cut, self.floor - out, [self.bench_mean - float(self.mr @ x)]]),
-                np.vstack([-((w * self.p[None, :]) @ self.xi.T) / self.bench[:, None],
-                           -self.xi.T, -self.mr[None, :]]))
-
-    def hess(self, x: np.ndarray, lam: np.ndarray) -> np.ndarray:
-        """Multiplier-weighted sum of cut Hessians (the floor and mean rows are linear)."""
-        if self.k == 1.0:   # order 2: k (k - 1) = 0, every cut is linear
-            return np.zeros((self.d, self.d))
-        _, diff, a = self._terms(x)
-        lam_s = lam[: self.ts.size] / self.bench
-        expo = self.k - 2.0
-        if expo < 0.0:
-            # curvature of (.)^k is integrably singular at the kink for
-            # k < 2; clamping keeps the Hessian finite
-            base = np.where(a, np.maximum(diff, 1e-10), 1.0)
-        else:
-            base = np.where(a, diff, 0.0)
-        pw = np.where(a, base**expo, 0.0)
-        coef = self.k * (self.k - 1.0) * ((lam_s[:, None] * pw) * self.p[None, :]).sum(axis=0)
-        return (self.xi * coef[None, :]) @ self.xi.T
-
-
 class _Model:
     """One round's smooth convex model.
 
@@ -181,59 +96,108 @@ class _Model:
       expected loss at beta = 0, q + c p.u at r = 1 and q + c eta at r > 1,
       with c = 1 / (1 - beta).
     - Bounds x, u, eta >= 0 and the simplex row sum(x) = 1.
-    - Dense rows g(y) <= 0: the rows of `_DominanceCuts` in x (the cuts,
-      the floor rows, the mean row), then for a risk objective
-      L_j(x) - q - u_j <= 0 and, at r > 1, the perspective row
-      sum_j p_j u_j^r eta^(1 - r) - eta <= 0, that is eta >= ||u||_{r,p}.
-      At an optimum u = (L - q)_+ and eta = ||u||_{r,p}, so the objective
-      is phi(q) of the risk measure.
+    - Dense rows g(y) <= 0, in this order:
+      - The mc dominance rows in x.  First one row per cut (t, J),
+        sum_j p_j a_j (t - x.xi_j)^k / E[(t - B)_+^k] - 1, scaled by its
+        benchmark moment so that cuts whose moments differ by orders of
+        magnitude share one scale.  The order decides the kind of every
+        cut.  Above order 2, J is None and a_j = [x.xi_j < t]: the row is
+        the smooth moment bound E[(t - x.xi)_+^k] <= E[(t - B)_+^k].  At
+        order 2 (k = 1), J is a boolean mask over the scenarios, kept as
+        the rows of self.J, and a_j = J_j: the row is a linear subset cut,
+        with a constant Jacobian row and no curvature.
+      - Every cut threshold lies above the lowest benchmark atom min B.
+        At min B the benchmark shortfall moment vanishes, which admits no
+        strict sublevel interior (the portfolio moment is nonnegative), so
+        dominance there is the per-scenario linear floor rows
+        min B - x.xi_j <= 0, which do have an interior whenever one exists.
+      - The last dominance row is the mean condition
+        E[benchmark] - E[x.xi] <= 0, which dominance at any order p >= 2
+        requires.
+      - slack[i] bounds dominance row i at any portfolio that passes
+        `verify` at tol.
+      - For a risk objective, L_j(x) - q - u_j <= 0 and, at r > 1, the
+        perspective row sum_j p_j u_j^r eta^(1 - r) - eta <= 0, that is
+        eta >= ||u||_{r,p}.  At an optimum u = (L - q)_+ and
+        eta = ||u||_{r,p}, so the objective is phi(q) of the risk measure.
     """
 
     def __init__(self, s: ScenarioSet, benchmark, order, spec: RiskSpec | None, cuts, tol):
-        self.cuts = _DominanceCuts(s, benchmark, order, cuts, tol)
+        self.xi = s.returns
         self.probs = s.scenario_probabilities
+        self.mr = s.mean_returns()
+        self.bench_mean = mean(benchmark)
+        self.k = order_value(order) - 1.0
         self.d, self.n = d, n = s.d, s.n
+        self.floor = float(benchmark.outcomes[0])
+        # rows in ascending t (stable), so that the model does not depend on the order the
+        # cuts came in: each Newton solve's rounding, and at times a round's iteration
+        # count, depends on the order of the rows
+        cuts = sorted(cuts, key=lambda c: c[0])
+        self.ts = np.array([t for t, _ in cuts], dtype=float)
+        if self.k == 1.0:
+            self.J = np.array([J for _, J in cuts], dtype=bool).reshape(-1, n)
+        # a fractional-order moment rounds differently with the other thresholds
+        # of its sweep block, so every cut's moment comes from one sorted array
+        grid = np.unique(np.append(self.floor, self.ts))
+        self.bench = _Shortfall(self.k, benchmark)(grid)[np.searchsorted(grid, self.ts)]
+        # above order 2 verify lets the mean fall short by tol times the support width
+        mean_slack = tol if self.k == 1.0 else tol * np.ptp(np.append(self.xi, benchmark.outcomes))
+        self.slack = np.concatenate([tol / self.bench, (tol / self.probs) ** (1.0 / self.k), [mean_slack]])
+        self.mc = self.ts.size + n + 1
         if spec is None or spec.beta == 0.0:
             # max-return, or the expected loss, which is the risk at beta = 0 for every r
             self.r = None
-            self.cost = RiskSpec.losses(s.mean_returns())
+            self.cost = RiskSpec.losses(self.mr)
         else:
-            self.r, self.loss, c = spec.r, spec.losses(s.returns), 1.0 / (1.0 - spec.beta)
-            equal = spec.losses(np.full(d, 1.0 / d) @ s.returns)
+            self.r, self.loss, c = spec.r, spec.losses(self.xi), 1.0 / (1.0 - spec.beta)
+            equal = spec.losses(np.full(d, 1.0 / d) @ self.xi)
             self.q_start = minimize_phi(equal, self.probs, spec.beta, spec.r).q_star
             tail = [c * self.probs] if self.r == 1.0 else [np.zeros(n), [c]]
             self.cost = np.concatenate([np.zeros(d), [1.0], *tail])
         self.N = N = self.cost.size
         self.bounded = np.r_[0:d, d + 1 : N]
-        self.m = self.cuts.m + (0 if self.r is None else n + (self.r > 1.0))
+        self.m = self.mc + (0 if self.r is None else n + (self.r > 1.0))
+
+    def _terms(self, x: np.ndarray):
+        """x.xi, t_i - x.xi_j and the cut indicators a_ij: J at order 2, [x.xi_j < t_i] above."""
+        out = x @ self.xi
+        diff = self.ts[:, None] - out[None, :]
+        return out, diff, self.J if self.k == 1.0 else diff > 0.0
 
     def rows(self, y: np.ndarray):
         """Values and Jacobian of the dense rows."""
-        d, n, x = self.d, self.n, y[: self.d]
-        gc, Jc = self.cuts.rows(x)
-        g = [gc]
+        d, n, T, mc, x = self.d, self.n, self.ts.size, self.mc, y[: self.d]
+        g = np.empty(self.m)
         J = np.zeros((self.m, self.N))
-        mc = self.cuts.m
-        J[:mc, :d] = Jc
+        out, diff, a = self._terms(x)
+        base = np.where(a, diff, 0.0)
+        g[:T] = (base**self.k) @ self.probs / self.bench - 1.0
+        # times a: at k = 1, 0^0 = 1 off the subset
+        w = self.k * base ** (self.k - 1.0) * a
+        J[:T, :d] = -((w * self.probs[None, :]) @ self.xi.T) / self.bench[:, None]
+        g[T : T + n] = self.floor - out
+        J[T : T + n, :d] = -self.xi.T
+        g[T + n] = self.bench_mean - float(self.mr @ x)
+        J[T + n, :d] = -self.mr
         if self.r is not None:
             q, u = y[d], y[d + 1 : d + 1 + n]
-            g.append(x @ self.loss - q - u)
+            g[mc : mc + n] = x @ self.loss - q - u
             J[mc : mc + n, :d] = self.loss.T
             J[mc : mc + n, d] = -1.0
             J[mc + np.arange(n), d + 1 + np.arange(n)] = -1.0
             if self.r > 1.0:
                 r, eta = self.r, y[-1]
                 rho = u / eta
-                g.append([eta * (float(self.probs @ rho**r) - 1.0)])
+                g[-1] = eta * (float(self.probs @ rho**r) - 1.0)
                 J[-1, d + 1 : d + 1 + n] = r * self.probs * rho ** (r - 1.0)
                 J[-1, -1] = (1.0 - r) * float(self.probs @ rho**r) - 1.0
-        return np.concatenate(g), J
+        return g, J
 
     def hess(self, y: np.ndarray, lam: np.ndarray) -> np.ndarray:
         """Multiplier-weighted sum of the dense rows' Hessians."""
         d, n = self.d, self.n
         H = np.zeros((self.N, self.N))
-        H[:d, :d] = self.cuts.hess(y[:d], lam)
         if self.r is not None and self.r > 1.0:
             # (r (r - 1) / eta) sum_j p_j rho_j^(r - 2) [e_j; -rho_j][e_j; -rho_j]'
             r, eta = self.r, y[-1]
@@ -243,6 +207,20 @@ class _Model:
             H[idx, idx] = h
             H[idx, -1] = H[-1, idx] = -h * rho
             H[-1, -1] = float(h @ rho**2)
+        if self.k == 1.0:   # order 2: k (k - 1) = 0, every cut is linear
+            return H
+        _, diff, a = self._terms(y[:d])
+        lam_s = lam[: self.ts.size] / self.bench
+        expo = self.k - 2.0
+        if expo < 0.0:
+            # curvature of (.)^k is integrably singular at the kink for
+            # k < 2; clamping keeps the Hessian finite
+            base = np.where(a, np.maximum(diff, 1e-10), 1.0)
+        else:
+            base = np.where(a, diff, 0.0)
+        pw = np.where(a, base**expo, 0.0)
+        coef = self.k * (self.k - 1.0) * ((lam_s[:, None] * pw) * self.probs[None, :]).sum(axis=0)
+        H[:d, :d] = (self.xi * coef[None, :]) @ self.xi.T
         return H
 
     def near_cone(self, y: np.ndarray) -> bool:
@@ -296,16 +274,6 @@ class _IPMResult:
     iterations: int
     message: str | None
     certificate: tuple[float, float] | None
-
-
-def _residuals(model: _Model, it: _Iterate):
-    """Dense-row values and Jacobian, and every residual of the KKT conditions at it:
-    the dual residual, then the primal residuals of the dense rows and the simplex row."""
-    g, J = model.rows(it.y)
-    ry = model.cost + J.T @ it.lam
-    ry[: model.d] += it.nu
-    ry[model.bounded] -= it.zb
-    return g, J, ry, g + it.w, float(it.y[: model.d].sum()) - 1.0
 
 
 def _direction(model: _Model, it: _Iterate, J, H, res, comp) -> _Iterate:
@@ -380,13 +348,18 @@ def _ipm(model: _Model) -> _IPMResult:
     lam.s beyond rounding: lam.g(z) >= L on the simplex, but lam.g(z) <= lam.s if z passes.
     """
     tol = NEWTON_TOL
-    d, mc = model.d, model.cuts.m
+    d, mc = model.d, model.mc
     it = model.start()
     best = certificate = None
     stop = "the iteration limit"
     k = 0
     while True:
-        g, J, *res = _residuals(model, it)
+        g, J = model.rows(it.y)
+        # the dual residual, then the primal residuals of the dense rows and the simplex row
+        ry = model.cost + J.T @ it.lam
+        ry[:d] += it.nu
+        ry[model.bounded] -= it.zb
+        res = [ry, g + it.w, float(it.y[:d].sum()) - 1.0]
         pairs = it.pairs(model)
         gap = sum(float(np.sum(v * z)) for v, z in pairs)
         scale = 1.0 + abs(float(model.cost @ it.y))
@@ -401,7 +374,7 @@ def _ipm(model: _Model) -> _IPMResult:
         lam = np.maximum(it.lam[:mc], 0.0)
         lam /= lam.sum()
         G = J[:mc, :d].T @ lam
-        bound, allowed = lam @ g[:mc] + G.min() - G @ it.y[:d], lam @ model.cuts.slack
+        bound, allowed = lam @ g[:mc] + G.min() - G @ it.y[:d], lam @ model.slack
         if bound > allowed + 1e-9 * (1.0 + lam @ np.abs(g[:mc]) + np.abs(G).max()):
             certificate, stop = (float(bound), float(allowed)), "an infeasibility certificate"
             break
@@ -438,7 +411,7 @@ def _ipm(model: _Model) -> _IPMResult:
 def newton_refine(s: ScenarioSet, benchmark, order, spec: RiskSpec | None, cuts, tol):
     """Solve one round's model over a finite list of cuts from equal weights.
 
-    cuts holds the pairs (t, J) of `_DominanceCuts`: J is None above order
+    cuts holds the pairs (t, J) of `_Model`: J is None above order
     2 and a boolean mask over the scenarios at order 2.  tol is the
     tolerance of `verify`.  Returns the weights (clipped and renormalized
     onto the simplex), the lifted q for a min-risk problem with beta > 0

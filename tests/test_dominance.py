@@ -543,6 +543,29 @@ class TestCertifiedSupremum:
         grid = grid_and_tail_verdict(y, x, p, 1e-8)[0]
         assert diag["upper_bound"] >= max(top, grid)
 
+    @pytest.mark.parametrize("p", [2.5, 4.7])
+    @pytest.mark.parametrize("span", [1e8, 1e12])
+    def test_wide_support_does_not_overflow(self, p, span):
+        # tol span^j passes the largest float within the 40 series terms
+        x = DiscreteRandomVariable([0.0, span], [0.5, 0.5])
+        cert = verify(x, x, p)
+        assert cert.dominates and cert.upper_bound == 0.0
+
+    def test_verdict_is_scale_covariant(self):
+        # Y -> sY multiplies the order-p gap by s^(p - 1)
+        rng = np.random.default_rng(50)
+        base = fat_tailed(rng, 50)
+        spread = mean_preserving_spread(rng, base)
+        for y, x in ((base, spread), (spread, base), (base, base)):
+            for p in (1.5, 2.5, 3.5, 4.7, 5.5, 6.5, 3.0, 6.0):
+                ref = verify(y, x, p)
+                for s in (1e4, 1e8, 1e12):
+                    cert = verify(DiscreteRandomVariable(s * y.outcomes, y.probabilities),
+                                  DiscreteRandomVariable(s * x.outcomes, x.probabilities),
+                                  p, 1e-8 * s ** (p - 1.0))
+                    assert (cert.dominates, cert.binding) == (ref.dominates, ref.binding)
+                    assert not math.isnan(cert.upper_bound)
+
     def test_binding(self, golden_y, golden_x):
         # mean(golden_x) < mean(golden_y): at order 2 the gap past the last
         # atom is the mean deficit, at order 3 it grows without bound

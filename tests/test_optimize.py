@@ -119,6 +119,65 @@ class TestNewtonRefine:
         assert "with dual residual above NEWTON_TOL" in res.message
 
 
+def every_atom_cuts(s: ScenarioSet, bench: DiscreteRandomVariable, p: float, x: np.ndarray) -> list:
+    """A cut at every benchmark atom above the lowest, each subset tight at the weights x at order 2."""
+    out = x @ s.returns
+    return [(float(t), out < t if p == 2.0 else None) for t in bench.outcomes[1:]]
+
+
+class TestModel:
+    """One round's rows, their derivatives and the slack that the infeasibility proof relies on."""
+
+    def test_slack_bounds_the_dominance_rows_of_verified_weights(self, demo, demo_benchmark):
+        # the proof of `_ipm` needs lam.g(z) <= lam.slack at every z that passes verify
+        instances = [(demo, demo_benchmark)]
+        for k in range(6):
+            s = ScenarioSet(sweep_instance(k))
+            instances.append((s, equal_weight_benchmark(s)))
+        checked = 0
+        for s, bench in instances:
+            for p in (2.0, 2.5, 3.0, 4.7):
+                for rep in (optimize_max_return(s, bench, p),
+                            optimize_min_risk(s, bench, p, RiskSpec(0.5, 2.0))):
+                    if not rep.converged:
+                        continue
+                    x = rep.weights.weights
+                    model = optimize._Model(s, bench, p, None, every_atom_cuts(s, bench, p, x),
+                                            DEFAULT_VERIFY_TOL)
+                    g, _ = model.rows(x)
+                    assert model.slack.size == model.mc
+                    assert np.all(g[: model.mc] <= model.slack)
+                    checked += 1
+        assert checked >= 50
+
+    @pytest.mark.parametrize("p", [2.0, 2.5, 3.0, 4.7])
+    @pytest.mark.parametrize("spec", [None, RiskSpec(0.5, 1.0), RiskSpec(0.5, 2.0)],
+                             ids=["max-return", "r1", "r2"])
+    def test_jacobian_and_hessian_match_central_differences(self, demo, demo_benchmark, p, spec):
+        rng = np.random.default_rng(int(10 * p))
+        x = rng.dirichlet(np.ones(demo.d))
+        model = optimize._Model(demo, demo_benchmark, p, spec,
+                                every_atom_cuts(demo, demo_benchmark, p, x), DEFAULT_VERIFY_TOL)
+        y = x
+        if spec is not None:
+            y = np.concatenate([x, [0.1], rng.uniform(0.5, 1.5, demo.n), [2.0] if spec.r > 1.0 else []])
+        assert y.size == model.N
+        lam = rng.uniform(0.5, 1.5, model.m)
+        g, J = model.rows(y)
+        H = model.hess(y, lam)
+        assert g.shape == (model.m,) and J.shape == (model.m, model.N)
+        h = 1e-6
+        fd_J, fd_H = np.empty_like(J), np.empty_like(H)
+        for i in range(y.size):
+            e = np.zeros(y.size)
+            e[i] = h
+            (g_up, J_up), (g_down, J_down) = model.rows(y + e), model.rows(y - e)
+            fd_J[:, i] = (g_up - g_down) / (2.0 * h)
+            fd_H[:, i] = (lam @ J_up - lam @ J_down) / (2.0 * h)
+        assert np.abs(fd_J - J).max() <= 1e-5 * max(1.0, np.abs(J).max())
+        assert np.abs(fd_H - H).max() <= 1e-5 * max(1.0, np.abs(H).max())
+
+
 class TestIndependentOracles:
     """Certified solves against HiGHS LPs and a two-asset grid."""
 
