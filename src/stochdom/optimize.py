@@ -256,8 +256,9 @@ class _Iterate:
     nu: np.ndarray
 
     def pairs(self, model):
-        """(primal, dual) complementarity pairs."""
-        return [(self.y[model.bounded], self.zb), (self.w, self.lam)]
+        """The complementarity pairs as one primal vector (y[bounded], w) and one dual
+        vector (zb, lam), so that every sum over the pairs is one numpy expression."""
+        return np.concatenate([self.y[model.bounded], self.w]), np.concatenate([self.zb, self.lam])
 
     def advance(self, d: "_Iterate", alpha: float) -> None:
         """Move by alpha d, in place."""
@@ -276,63 +277,91 @@ class _IPMResult:
     certificate: tuple[float, float] | None
 
 
-def _direction(model: _Model, it: _Iterate, J, H, res, comp) -> _Iterate:
-    """Newton direction of the KKT conditions with complementarity residuals comp.
+def _reduced_inverse(model: _Model, it: _Iterate, J, H) -> np.ndarray:
+    """Inverse of the Newton matrix K of `_direction` with the n floor rows eliminated.
+
+    A floor row's Jacobian is -xi' in x and its diagonal block -w/lam, so its multiplier
+    is (lam/w)(-xi'dx - r) and the rows leave xi diag(lam/w) xi' in the x block: side
+    N + m - n + 1, O(n d^2 + (N + T)^3) at max-return.  numpy cannot reuse a factor,
+    so the predictor and the corrector share this inverse.
+    """
+    d, N, T, n = model.d, model.N, model.ts.size, model.n
+    B, f, s = model.bounded, slice(T, T + n), N + model.m - n
+    K = np.zeros((s + 1, s + 1))
+    K[:N, :N] = H
+    K[B, B] += it.zb / it.y[B]
+    K[:d, :d] += (model.xi * (it.lam[f] / it.w[f])) @ model.xi.T
+    K[N:s, :N] = Jk = np.concatenate([J[:T], J[T + n :]])
+    K[:N, N:s] = Jk.T
+    wl = it.w / it.lam
+    K[np.arange(N, s), np.arange(N, s)] = -np.concatenate([wl[:T], wl[T + n :]])
+    K[:d, -1] = K[-1, :d] = 1.0
+    return np.linalg.inv(K)
+
+
+def _direction(model: _Model, it: _Iterate, J, H, res, comp, inv) -> _Iterate:
+    """Newton direction of the KKT conditions with complementarity residuals comp
+    (the bound pairs', then the dense rows').
 
     The bound and dense-row complementarity equations are eliminated into
     their diagonal scalings, which leaves the quasi-definite augmented
-    system over (y, dense-row multipliers, nu).
+    system K over (y, dense-row multipliers, nu).  It is solved with inv,
+    the inverse of K with the floor rows eliminated (`_reduced_inverse`),
+    and one step of iterative refinement against the residual of K, formed
+    from H, J and the scalings, restores the accuracy the inverse loses.
     """
-    d, N, m = model.d, model.N, model.m
+    d, N, m, T, n = model.d, model.N, model.m, model.ts.size, model.n
     ry, rp, re = res
-    cz, cw = comp
-    B, yb = model.bounded, it.y[model.bounded]
-    K = np.zeros((N + m + 1, N + m + 1))
-    K[:N, :N] = H
-    K[B, B] += it.zb / yb
-    K[:N, N : N + m] = J.T
-    K[N : N + m, :N] = J
-    K[N + np.arange(m), N + np.arange(m)] = -it.w / it.lam
-    K[:d, -1] = K[-1, :d] = 1.0
+    B, yb, wl = model.bounded, it.y[model.bounded], it.w / it.lam
+    cz, cw = comp[: B.size], comp[B.size :]
+    f, scale = N + T, it.lam[T : T + n] / it.w[T : T + n]
+
+    def solve(r):
+        rf = r[f : f + n]
+        sol = np.concatenate([r[:f], r[f + n :]])
+        sol[:d] -= model.xi @ (scale * rf)
+        sol = inv @ sol
+        return np.concatenate([sol[:f], scale * (-(sol[:d] @ model.xi) - rf), sol[f:]])
+
     rhs = np.concatenate([-ry, cw / it.lam - rp, [-re]])
     rhs[B] -= cz / yb
-    sol = np.linalg.solve(K, rhs)
+    sol = solve(rhs)
+    dy, dl = sol[:N], sol[N:-1]
+    top = H @ dy + J.T @ dl
+    top[B] += it.zb / yb * dy[B]
+    top[:d] += sol[-1]
+    sol += solve(rhs - np.concatenate([top, J @ dy - wl * dl, [dy[:d].sum()]]))
     dy = sol[:N]
     return _Iterate(dy, -(cz + it.zb * dy[B]) / yb, -rp - J @ dy, sol[N : N + m], sol[-1:])
 
 
 def _max_step(pairs, dpairs) -> tuple[float, float]:
-    """Largest primal and dual steps in (0, 1] that keep every pair nonnegative."""
+    """Largest primal and dual steps in (0, 1] that keep the pairs' vectors nonnegative."""
 
     def ratio(v, dv):
         neg = dv < 0.0
-        return float(np.min(-v[neg] / dv[neg], initial=1.0))
+        return float((-v[neg] / dv[neg]).min(initial=1.0))
 
-    return (min(ratio(v, dv) for (v, _), (dv, _) in zip(pairs, dpairs)),
-            min(ratio(z, dz) for (_, z), (_, dz) in zip(pairs, dpairs)))
+    return ratio(pairs[0], dpairs[0]), ratio(pairs[1], dpairs[1])
 
 
 def _mehrotra(model: _Model, it: _Iterate, J, res, pairs, floor: float) -> _Iterate:
-    """Predictor-corrector direction: the affine-scaling step sets the centering
-    target sigma mu, sigma = (mu_aff / mu)^3, floored per pair at floor / count,
-    and its second-order term corrects the complementarity residuals."""
-    count = sum(v.size for v, _ in pairs)
-    mu = sum(float(np.sum(v * z)) for v, z in pairs) / count
+    """Predictor-corrector direction, both steps from one `_reduced_inverse`: the
+    affine-scaling step sets the centering target sigma mu, sigma = (mu_aff / mu)^3,
+    floored per pair at floor / (number of pairs), and its second-order term corrects
+    the complementarity residuals."""
+    v, z = pairs
+    mu = float(v @ z) / v.size
     H = model.hess(it.y, it.lam)
     with np.errstate(all="ignore"):
-        aff = _direction(model, it, J, H, res, [v * z for v, z in pairs])
-        dpairs = aff.pairs(model)
+        inv = _reduced_inverse(model, it, J, H)
+        aff = _direction(model, it, J, H, res, v * z, inv)
+        dv, dz = aff.pairs(model)
         del aff
-        ap, ad = _max_step(pairs, dpairs)
-        mu_aff = sum(float(np.sum((v + ap * dv) * (z + ad * dz)))
-                     for (v, z), (dv, dz) in zip(pairs, dpairs)) / count
-        target = max(mu * (mu_aff / mu) ** 3, floor / count)
-        comp = [dv * dz for _, (dv, dz) in zip(pairs, dpairs)]
-        del dpairs
-        for c, (v, z) in zip(comp, pairs):
-            c += v * z
-            c -= target
-        return _direction(model, it, J, H, res, comp)
+        ap, ad = _max_step(pairs, (dv, dz))
+        mu_aff = float((v + ap * dv) @ (z + ad * dz)) / v.size
+        target = max(mu * (mu_aff / mu) ** 3, floor / v.size)
+        return _direction(model, it, J, H, res, v * z + dv * dz - target, inv)
 
 
 def _ipm(model: _Model) -> _IPMResult:
@@ -361,7 +390,7 @@ def _ipm(model: _Model) -> _IPMResult:
         ry[model.bounded] -= it.zb
         res = [ry, g + it.w, float(it.y[:d].sum()) - 1.0]
         pairs = it.pairs(model)
-        gap = sum(float(np.sum(v * z)) for v, z in pairs)
+        gap = float(pairs[0] @ pairs[1])
         scale = 1.0 + abs(float(model.cost @ it.y))
         norms = (max(float(np.abs(r).max(initial=0.0)) for r in res[1:]),
                  float(np.abs(res[0]).max(initial=0.0)), gap)

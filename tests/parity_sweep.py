@@ -29,14 +29,16 @@ shifted column prints its infeasible, converged and unconverged counts
 and its constraint-generation rounds instead (with --baseline, also its
 better, equal and worse objectives), and a verify column its
 dominating count and evaluated thresholds.  With --baseline it then
-prints how many runs equal the baseline's in every field they record
-(floats bit for bit), and lists up to 10 runs that differ, field by
-field.  When scipy is installed it prints the largest difference from
-the HiGHS LP optimum of the order-2 max-return and CVaR columns, random
-and factor, and how many order-2 shifted runs' infeasible verdicts
-disagree with HiGHS.  --src picks
-the stochdom sources to import, so the same script measures another
-checkout.  It is not a test module: pytest does not collect it.
+lists every optimizer run whose converged or infeasible flag or Newton
+count changed, or whose objective moved by more than
+1e-10 max(1, |baseline|), each with its rounds; then it prints how many
+runs equal the baseline's in every field they record (floats bit for
+bit), and lists up to 10 runs that differ, field by field.  When scipy
+is installed it prints the largest difference from the HiGHS LP optimum
+of the order-2 max-return and CVaR columns, random and factor, and how
+many order-2 shifted runs' infeasible verdicts disagree with HiGHS.
+--src picks the stochdom sources to import, so the same script measures
+another checkout.  It is not a test module: pytest does not collect it.
 """
 
 from __future__ import annotations
@@ -324,6 +326,30 @@ def parity(runs: list[dict], baseline: list[dict]) -> list[str]:
     return lines
 
 
+def solver_changes(runs: list[dict], baseline: list[dict]) -> list[str]:
+    """Every optimizer run whose converged or infeasible flag or Newton count differs
+    from its baseline record, or whose objective moved by more than
+    1e-10 max(1, |baseline|), with those fields and its rounds, baseline -> new."""
+    base = {(b["column"], str(b["instance"])): b for b in baseline}
+    listed = []
+    for r in runs:
+        b = base.get((r["column"], str(r["instance"])))
+        if b is None or "newton" not in r:
+            continue
+        old, new = b["score"], r["score"]
+        moved = (old is None) != (new is None) or (
+            old is not None and abs(new - old) > 1e-10 * max(1.0, abs(old)))
+        fields = [f"{f} {b[f]!r} -> {r[f]!r}" for f in ("converged", "infeasible", "newton")
+                  if b[f] != r[f]]
+        if fields or moved:
+            if moved:
+                fields.append(f"score {old!r} -> {new!r}")
+            fields.append(f"rounds {b['rounds']} -> {r['rounds']}")
+            listed.append(f"  {r['column']} {r['instance']}: " + "; ".join(fields))
+    return [f"{len(listed)} optimizer runs changed a flag or the Newton count, or moved the "
+            "objective by more than 1e-10 max(1, |baseline|)", *listed]
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--out", required=True, help="JSON file for this run's records")
@@ -342,6 +368,7 @@ def main(argv=None) -> int:
     for column, count in highs_disagreements(sd, runs).items():
         print(f"{column}: {count} infeasible verdicts disagree with HiGHS")
     if baseline is not None:
+        print("\n".join(solver_changes(runs, baseline)))
         print("\n".join(parity(runs, baseline)))
     return 0
 

@@ -30,7 +30,14 @@ from tests.oracles import (
     min_risk_grid_search,
     order2_feasible_lp,
 )
-from tests.parity_sweep import factor_returns, parity, summarize, sweep_instance, uneven_returns
+from tests.parity_sweep import (
+    factor_returns,
+    parity,
+    solver_changes,
+    summarize,
+    sweep_instance,
+    uneven_returns,
+)
 
 
 def factor_model(rng: np.random.Generator, d: int, n: int) -> np.ndarray:
@@ -176,6 +183,72 @@ class TestModel:
             fd_H[:, i] = (lam @ J_up - lam @ J_down) / (2.0 * h)
         assert np.abs(fd_J - J).max() <= 1e-5 * max(1.0, np.abs(J).max())
         assert np.abs(fd_H - H).max() <= 1e-5 * max(1.0, np.abs(H).max())
+
+
+def full_newton_system(model, it, J, H, res, comp):
+    """The Newton system of `optimize._direction` built whole, before any row is eliminated:
+    the matrix over (y, dense-row multipliers, nu) and its right-hand side."""
+    d, N, m, B = model.d, model.N, model.m, model.bounded
+    yb = it.y[B]
+    K = np.zeros((N + m + 1, N + m + 1))
+    K[:N, :N] = H
+    K[B, B] += it.zb / yb
+    K[:N, N : N + m] = J.T
+    K[N : N + m, :N] = J
+    K[N + np.arange(m), N + np.arange(m)] = -it.w / it.lam
+    K[:d, -1] = K[-1, :d] = 1.0
+    ry, rp, re = res
+    rhs = np.concatenate([-ry, comp[B.size :] / it.lam - rp, [-re]])
+    rhs[B] -= comp[: B.size] / yb
+    return K, rhs
+
+
+class TestReducedNewton:
+    """The direction from the reduced factor solves the full Newton system, and large models converge."""
+
+    @pytest.mark.parametrize("data", ["demo", "synthetic"])
+    @pytest.mark.parametrize("p, spec", [(2.0, None), (3.0, None), (4.7, None),
+                                         (4.7, RiskSpec(0.5, 2.0)), (2.0, RiskSpec(0.9, 1.0))])
+    def test_direction_solves_the_full_system(self, data, p, spec, demo, demo_benchmark,
+                                              monkeypatch):
+        s = demo if data == "demo" else ScenarioSet(factor_model(np.random.default_rng(0), 20, 120))
+        bench = demo_benchmark if data == "demo" else equal_weight_benchmark(s)
+        direction, errors = optimize._direction, []
+
+        def checked(model, it, J, H, res, comp, inv):
+            step = direction(model, it, J, H, res, comp, inv)
+            K, rhs = full_newton_system(model, it, J, H, res, comp)
+            sol = np.concatenate([step.y, step.lam, step.nu])
+            scale = np.abs(K).max() * np.abs(sol).max() + np.abs(rhs).max()
+            errors.append(np.abs(K @ sol - rhs).max() / scale)
+            return step
+
+        monkeypatch.setattr(optimize, "_direction", checked)
+        report = (optimize_max_return(s, bench, p) if spec is None
+                  else optimize_min_risk(s, bench, p, spec))
+        assert report.converged
+        assert len(errors) == 2 * report.iterations["newton"]
+        assert max(errors) <= 1e-13
+
+    def test_refinement_keeps_an_ulp_sensitive_round_converged(self):
+        # solved with the reduced inverse alone, without the refinement step, the last
+        # round of this run stalls at the iteration limit with a dual residual near 1e-10
+        s = ScenarioSet(sweep_instance(17))
+        report = optimize_max_return(s, equal_weight_benchmark(s), 4.7)
+        assert report.converged and report.message is None
+
+    def test_large_factor_model_converges_at_every_order(self):
+        # 500 floor rows, which the reduced factor eliminates
+        s = ScenarioSet(factor_returns(0, 10, 500))
+        bench = equal_weight_benchmark(s)
+        returns = []
+        for p in (2.0, 3.0, 4.7):
+            report = optimize_max_return(s, bench, p)
+            assert report.converged and report.message is None
+            assert verify(portfolio_return_variable(s, report.weights), bench, p).dominates
+            returns.append(report.expected_return)
+        # dominance at a lower order implies it at every higher order
+        assert returns[0] <= returns[1] + 1e-9 and returns[1] <= returns[2] + 1e-9
 
 
 class TestIndependentOracles:
@@ -590,3 +663,24 @@ def test_summarize_tallies_shifted_objectives_against_the_baseline():
     assert line.endswith("| baseline infeasible  0 converged  3 unconverged  0 rounds    9;"
                          " better/equal/worse 1/1/1")
     assert "better/equal/worse" not in summarize(runs, None)[0]
+
+
+def test_solver_changes_lists_flags_newton_counts_and_moved_objectives():
+    rec = {"column": "max-return p3", "instance": 4, "converged": True, "infeasible": False,
+           "newton": 40, "rounds": 3, "message": None, "score": -0.5}
+    base = [rec, *({**rec, "instance": k} for k in (5, 6, 7, 8)),
+            {"column": "verify p3", "instance": 0, "dominates": True}]
+    runs = [{**rec, "score": -0.5 - 4e-11},                                  # within 1e-10
+            {**base[1], "converged": False, "newton": 100, "rounds": 4},
+            {**base[2], "newton": 41},
+            {**base[3], "score": -0.5 + 2e-10},
+            {**base[4], "infeasible": True, "score": None},
+            {**base[5], "dominates": False}]
+    lines = solver_changes(runs, base)
+    assert lines[0].startswith("4 optimizer runs changed")
+    assert lines[1:] == [
+        "  max-return p3 5: converged True -> False; newton 40 -> 100; rounds 3 -> 4",
+        "  max-return p3 6: newton 40 -> 41; rounds 3 -> 3",
+        f"  max-return p3 7: score -0.5 -> {-0.5 + 2e-10!r}; rounds 3 -> 3",
+        "  max-return p3 8: infeasible False -> True; score -0.5 -> None; rounds 3 -> 3",
+    ]
