@@ -35,18 +35,21 @@ is never negative.
   grow with d, its exact value rounded once),
   g = sum_j C(k, j) dM_j d^(k - j): a polynomial for
   integer k, and for fractional k a series that converges for d beyond
-  the support width.  The first dM_j with j < k that is not negligible
+  the support width, carried in units of span^j so that no term
+  overflows.  The first dM_j with j < k that is not negligible
   sets the sign of g at infinity.  Tolerance at infinity: dM_j counts as
   zero when |dM_j| <= tol span^j, with span the width of the combined
   support, so float rounding of the moments (about 1e-17 in the mean of
   a mean-preserving spread built in floats) cannot decide a verdict.  A
-  positive sign makes the supremum +inf.  Otherwise integer orders take
-  d = 0 and the real roots of the tail polynomial's derivative.
-  Fractional orders run the branch and bound out to the window end, 10
-  support widths past z_N; beyond it the series, truncated where a
-  geometric bound on its remainder falls below 1e-10, peaks at a
-  positive root of a polynomial (its derivative times a power of d),
-  and that remainder bound is added to the certified supremum.
+  positive sign makes the supremum +inf, and Y does not dominate,
+  whatever gaps the window holds; no threshold past it is evaluated.
+  Otherwise integer orders take d = 0 and the real roots of the tail
+  polynomial's derivative.  Fractional orders run the branch and bound
+  out to the window end, 10 support widths past z_N; beyond it the
+  series, truncated where a geometric bound on its remainder falls
+  below 1e-10, peaks at a positive root of a polynomial (its derivative
+  times a power of d), and that remainder bound is added to the
+  certified supremum.
 
 Shortfall moments E[(t - Z)_+^k] are evaluated by a sweep over the
 sorted atoms, never by a thresholds x atoms matrix.  For integer k a
@@ -80,26 +83,24 @@ _FLAT = 1e-14           # relative size below which a leading polynomial coeffic
 _SERIES_TERMS = 40      # tail series terms available past ceil(k)
 _EVALUATIONS = 32       # branch-and-bound evaluations allowed per starting threshold ...
 _BASE_EVALUATIONS = 4096    # ... plus this many
-_DOUBLINGS = 64         # doublings of the witness distance
 
 
 @dataclass(frozen=True)
 class DominanceCertificate:
     """Verdict of a dominance check, the worst threshold found, and what decided it.
 
-    ``worst_gap`` is the gap attained at ``worst_t``, so ``dominates ==
-    (worst_gap <= tolerance)``; up to 1e-10 relative it is never below
-    the gap maximum over the support plus 10 support widths.
-    ``upper_bound`` is the certified supremum of the gap over every
-    threshold, +inf when the gap grows
-    without bound beyond the last atom; then ``worst_t`` is a finite
-    witness past those 10 widths whose gap exceeds both that maximum and
-    the tolerance.  ``binding`` says what decided the verdict: ``"atom"``
-    (an atom of either variable), ``"interior"`` (a point between
-    atoms), ``"tail"`` (beyond the last atom) or ``"mean"`` (the mean
-    difference: the order-2 gap beyond the last atom, or the unbounded
-    growth it causes at higher orders).  ``checked_points`` counts the
-    thresholds at which the gap was evaluated.
+    ``dominates == (upper_bound < inf and worst_gap <= tolerance)``.
+    ``worst_gap`` is the largest gap evaluated, attained at ``worst_t``;
+    up to 1e-10 relative it is never below the gap maximum over the
+    support plus 10 support widths.  ``upper_bound`` is the certified
+    supremum of the gap over every threshold, +inf when the gap grows
+    without bound beyond the last atom.  ``binding`` says what decided
+    the verdict: ``"atom"`` (an atom of either variable), ``"interior"``
+    (a point between atoms), ``"tail"`` (beyond the last atom, or an
+    unbounded tail) or ``"mean"`` (the mean difference: the order-2 gap
+    beyond the last atom, or the unbounded growth it causes at higher
+    orders).  ``checked_points`` counts the thresholds at which the gap
+    was evaluated.
     """
 
     dominates: bool
@@ -185,10 +186,10 @@ class _Shortfall:
         if self.k.is_integer():
             tables = [_moment_table(self.z, w, int(self.k)) for w in self.weights]
             self.table = tables[0] if x is None else tables[0] - tables[1]
-            self.table[-1] = self.tail_moments(int(self.k) + 1)
+            self.table[-1] = self.tail_moments(int(self.k) + 1, 1.0)
 
-    def tail_moments(self, count: int) -> np.ndarray:
-        """dM_j = sum_i w_i (z_N - z_i)^j for j < count about the last atom z_N.
+    def tail_moments(self, count: int, unit: float) -> np.ndarray:
+        """dM_j / unit^j, dM_j = sum_i w_i (z_N - z_i)^j, for j < count about the last atom z_N.
 
         For a gap, w_i is the weight of Y minus that of X, summed as
         separate terms so that no weight difference is rounded first.
@@ -196,9 +197,12 @@ class _Shortfall:
         distance in the tail, are carried as unevaluated sums of two
         floats (distances by TwoSum, products by Dekker's TwoProduct,
         about 1e-32 relative) and added by math.fsum, so each is its
-        exact value rounded once.  The constant term of an integer order
-        (j = k) is an fsum of rounded products; the decaying terms of a
-        fractional-order series (j > k) are plain float sums.
+        exact value rounded once before the division by unit^j.  The
+        constant term of an integer order (j = k) is an fsum of rounded
+        products; the decaying terms of a fractional-order series (j > k)
+        are plain float sums.  With unit the support width every term of
+        the series is at most the total weight, where dM_j itself would
+        pass the largest float at wide supports.
         """
         z = np.concatenate([self.z[w > 0.0] for w in self.weights])
         hi = np.concatenate([w[w > 0.0] if i == 0 else -w[w > 0.0] for i, w in enumerate(self.weights)])
@@ -210,9 +214,10 @@ class _Shortfall:
         for j in range(1, grow):
             prod, err = _two_product(hi, dist)
             hi, lo = _two_sum(prod, err + (hi * dist_err + lo * dist))
-            out[j] = math.fsum(np.concatenate([hi, lo]))
+            out[j] = math.fsum(np.concatenate([hi, lo])) / unit**j
         if count > grow:
-            later = hi[:, None] * dist[:, None] ** np.arange(1, count - grow + 1)
+            steps = np.arange(1, count - grow + 1)
+            later = (hi / unit ** (grow - 1))[:, None] * (dist / unit)[:, None] ** steps
             out[grow:] = later.sum(axis=0)
             if self.k.is_integer():
                 out[grow] = math.fsum(later[:, 0])
@@ -347,52 +352,55 @@ def _critical_points(f: _Shortfall, lead: int | None, span: float) -> np.ndarray
     return (f.z[:, None] + s * scale[:, None])[inside]
 
 
-def _leading_moment(dm: np.ndarray, span: float, tol: float, limit: int) -> int | None:
-    """Index j < limit of the first moment difference that is not negligible, or None."""
+def _leading_moment(dm: np.ndarray, unit: float, tol: float, limit: int) -> int | None:
+    """Index j < limit of the first moment difference above its negligible size tol unit^j, or None."""
     for j in range(min(limit, dm.size)):
         try:
-            if abs(dm[j]) > tol * span**j:
+            if abs(dm[j]) > tol * unit**j:
                 return j
-        except OverflowError:   # tol span^j exceeds every moment from here on
+        except OverflowError:   # tol unit^j exceeds every moment from here on
             return None
     return None
 
 
-def _series_tail(dm: np.ndarray, k: float, lead: int | None, spread: float, total: float, start: float):
-    """Where the fractional-order tail series peaks past distance start, and a bound on the gap there.
+def _series_tail(m: np.ndarray, k: float, lead: int | None, span: float, spread: float, total: float):
+    """Where the fractional-order tail series peaks past the window end, and a bound on the gap there.
 
-    For d >= start > spread, g(d) = T(d) + R(d) with the truncated series
-    T(d) = sum_{lead <= j <= J} C(k, j) dM_j d^(k - j) (earlier terms are
-    negligible and count as zero) and, since |dM_j| <= total spread^j and
-    |C(k, j)| falls for j > k, |R(d)| <= |C(k, J + 1)| total d^k
-    (spread / d)^(J + 1) / (1 - spread / d), which falls with d.  J is the
-    first index past k that brings that bound at d = start below
+    m_j = dM_j / span^j, and u = d / span.  For u >= W = _WINDOW, with
+    r = spread / span <= 1, g(d) = span^k (T(u) + R(u)) with the truncated
+    series T(u) = sum_{lead <= j <= J} C(k, j) m_j u^(k - j) (earlier
+    terms are negligible and count as zero) and, since |m_j| <= total r^j
+    and |C(k, j)| falls for j > k, |R(u)| <= |C(k, J + 1)| total u^k
+    (r / u)^(J + 1) / (1 - r / u), which falls with u.  J is the first
+    index past k that brings span^k times that bound at u = W below
     _REL_GAP, or the last one available.  T's derivative is
-    d^(k - 1 - J) sum_j C(k, j) (k - j) dM_j d^(J - j), so T peaks at
-    start, at a positive root of that polynomial, or tends to 0 at
-    infinity when every term decays; no root is sought when the leading
-    term alone outweighs the rest from start on, so T < 0 there.  Returns
-    the roots past start and max T + max |R| over d >= start.
+    u^(k - 1 - J) sum_j C(k, j) (k - j) m_j u^(J - j), so T peaks at W,
+    at a root past W of that polynomial, or tends to 0 at infinity when
+    every term decays; no root is sought when the leading term alone
+    outweighs the rest from W on, so T < 0 there.  Every power of u is
+    taken in units of the support width, so none overflows at wide
+    supports.  Returns the distances d = span u of the peaks past W and
+    span^k (max T + max |R|) over u >= W.
     """
-    j = np.arange(dm.size + 1)
+    start = _WINDOW * span
+    j = np.arange(m.size + 1)
     binom = np.cumprod(np.append(1.0, (k - j[:-1]) / j[1:]))     # C(k, j)
     rests = np.abs(binom) * total * start**k * (spread / start) ** j / (1.0 - spread / start)
     small = np.nonzero((j > k) & (rests <= _REL_GAP))[0]
-    last = (small[0] if small.size else dm.size) - 1
+    last = (small[0] if small.size else m.size) - 1
     rest = rests[last + 1]
     if lead is None or lead > last:
         return np.empty(0), rest
     j = np.arange(lead, last + 1)
-    coef = binom[lead:last + 1] * dm[lead:last + 1]
-    # T(d) <= d^(k - lead) (coef_lead + sum_{j > lead} |coef_j| start^(lead - j))
-    # for d >= start: when that bracket is negative there is no peak to find
-    if coef[0] + np.abs(coef[1:]) @ start ** (lead - j[1:]) <= 0.0:
+    coef = binom[lead:last + 1] * m[lead:last + 1]
+    # T(u) <= u^(k - lead) (coef_lead + sum_{j > lead} |coef_j| W^(lead - j))
+    # for u >= W: when that bracket is negative there is no peak to find
+    if coef[0] + np.abs(coef[1:]) @ _WINDOW ** (lead - j[1:]) <= 0.0:
         return np.empty(0), rest
-    s = _real_roots(((k - j) * coef * start ** (last - j))[None, :])[0]
-    peaks = np.sort(start * s[s > 1.0])
-    d = np.append(start, peaks)
-    top = float((coef * d[:, None] ** (k - j)).sum(axis=1).max())
-    return peaks, max(top, 0.0 if k < lead else -math.inf) + rest
+    s = _real_roots(((k - j) * coef * _WINDOW ** (last - j))[None, :])[0]
+    u = _WINDOW * np.append(1.0, np.sort(s[s > 1.0]))
+    top = float((coef * u[:, None] ** (k - j)).sum(axis=1).max()) * span**k
+    return span * u[1:], max(top, 0.0 if k < lead else -math.inf) + rest
 
 
 def _segment_bound(k: float, h: np.ndarray, va: np.ndarray, vb: np.ndarray, best: float):
@@ -494,17 +502,6 @@ def _branch_and_bound(f: _Shortfall, pts: np.ndarray):
     return ts, gaps, max(upper, float(gaps.max())), evaluations
 
 
-def _witness(f: _Shortfall, hi: float, width: float, level: float) -> tuple[float, float]:
-    """First threshold hi + width 2^i, i >= 1, whose gap exceeds level, with that gap."""
-    t, g = hi, 0.0
-    for i in range(1, _DOUBLINGS + 1):
-        t = hi + width * 2.0**i
-        g = float(f(np.array([t]))[0])
-        if g > level:
-            break
-    return t, g
-
-
 def critical_thresholds(
     y: DiscreteRandomVariable,
     x: DiscreteRandomVariable,
@@ -524,16 +521,15 @@ def critical_thresholds(
     plus each threshold at which an open segment split (an atom while
     the segment held atoms).  Then come the peaks of the truncated tail
     series past the window end.  When the gap is unbounded in the tail
-    the set covers the window only.  ``tol``, a finite real >= 0, sets
+    the set covers the window only, and its largest gap is still the
+    one the certificate reports.  ``tol``, a finite real >= 0, sets
     which moment differences count as zero at infinity.
 
     ``diagnostics``, when given, receives ``gaps`` (the gap at each
     threshold), ``upper_bound`` (the certified supremum, inf when
-    unbounded), ``witness`` ((t, gap) past the window whose gap exceeds
-    both the largest of ``gaps`` and ``tol``, or None when bounded),
-    ``lead`` (index j of the moment difference that sets the gap's sign
-    at infinity, or None) and ``evaluations`` (thresholds passed to the
-    fractional-order evaluator; 0 at integer orders).
+    unbounded), ``lead`` (index j of the moment difference that sets the
+    gap's sign at infinity, or None) and ``evaluations`` (thresholds
+    passed to the fractional-order evaluator; 0 at integer orders).
     """
     p = order_value(p)
     tol = float(tol)
@@ -545,13 +541,15 @@ def critical_thresholds(
     lo, hi = float(z[0]), float(z[-1])
     span = hi - lo if hi > lo else max(1.0, abs(hi))
     window = _WINDOW * span
-    dm = f.table[-1] if f.table is not None else f.tail_moments(math.ceil(k) + _SERIES_TERMS)
-    # an integer-order tail is a polynomial: only its growing terms, j < k, can lead
-    lead = _leading_moment(dm, span, tol, int(k) if f.table is not None else dm.size)
+    # an integer-order tail is a polynomial: only its growing terms, j < k, can
+    # lead; a fractional-order series comes in units of span^j
+    fractional = f.table is None
+    dm = f.tail_moments(math.ceil(k) + _SERIES_TERMS, span) if fractional else f.table[-1]
+    lead = _leading_moment(dm, 1.0 if fractional else span, tol, dm.size if fractional else int(k))
     # a leading term with j < k grows; its binomial coefficient is positive
     unbounded = lead is not None and lead < k and dm[lead] > 0.0
     evaluations = 0
-    if f.table is not None:
+    if not fractional:
         roots = _critical_points(f, None if unbounded else lead, span)
         ts = np.unique(np.concatenate([z, [hi + window], roots]))
         gaps = f(ts)
@@ -559,17 +557,14 @@ def critical_thresholds(
     else:
         ts, gaps, upper, evaluations = _branch_and_bound(f, np.append(z, hi + window))
         if not unbounded:
-            peaks, beyond = _series_tail(dm, k, lead, hi - lo, math.fsum(np.abs(f.w)), window)
+            peaks, beyond = _series_tail(dm, k, lead, span, hi - lo, math.fsum(np.abs(f.w)))
             ts = np.append(ts, hi + peaks)
             gaps = np.append(gaps, f(hi + peaks))
             upper = max(upper, beyond, float(gaps.max()))
-    witness = None
     if unbounded:
         upper = math.inf
-        witness = _witness(f, hi, window, max(tol, float(gaps.max())))
     if diagnostics is not None:
-        diagnostics.update(gaps=gaps, upper_bound=upper, witness=witness, lead=lead,
-                           evaluations=evaluations)
+        diagnostics.update(gaps=gaps, upper_bound=upper, lead=lead, evaluations=evaluations)
     return ts
 
 
@@ -586,10 +581,11 @@ def verify(
 ) -> DominanceCertificate:
     """Check whether Y dominates X in stochastic order p.
 
-    Takes the largest gap over the critical threshold set, or, when the
-    gap grows without bound beyond the last atom, the witness past the
-    window whose gap exceeds it; see the module docstring for why that
-    maximum is the supremum over all thresholds.
+    Y dominates when the gap is bounded and its largest value over the
+    critical threshold set is at most tol; see the module docstring for
+    why that maximum is the supremum over all thresholds.  An unbounded
+    gap fails whatever the window holds, and the certificate still
+    reports the window's largest gap.
     """
     p = order_value(p)
     tol = float(tol)
@@ -597,28 +593,27 @@ def verify(
     # called positionally through the module global, which a caller may wrap
     ts = critical_thresholds(y, x, p, tol, diag)
     last = max(float(y.outcomes[-1]), float(x.outcomes[-1]))
-    if diag["witness"] is not None:
-        worst_t, worst_gap = diag["witness"]
+    i = int(np.argmax(diag["gaps"]))
+    worst_t, worst_gap = float(ts[i]), float(diag["gaps"][i])
+    upper = float(diag["upper_bound"])
+    if upper == math.inf:
         binding = "mean" if diag["lead"] == 1 else "tail"
+    elif p == 2.0 and worst_t >= last:
+        # the order-2 gap past the last atom is mean(X) - mean(Y)
+        binding = "mean"
+    elif worst_t > last:
+        binding = "tail"
+    elif _is_atom(y, worst_t) or _is_atom(x, worst_t):
+        binding = "atom"
     else:
-        i = int(np.argmax(diag["gaps"]))
-        worst_t, worst_gap = float(ts[i]), float(diag["gaps"][i])
-        if p == 2.0 and worst_t >= last:
-            # the order-2 gap past the last atom is mean(X) - mean(Y)
-            binding = "mean"
-        elif worst_t > last:
-            binding = "tail"
-        elif _is_atom(y, worst_t) or _is_atom(x, worst_t):
-            binding = "atom"
-        else:
-            binding = "interior"
+        binding = "interior"
     return DominanceCertificate(
-        dominates=bool(worst_gap <= tol),
+        dominates=upper < math.inf and worst_gap <= tol,
         order=p,
         worst_t=worst_t,
         worst_gap=worst_gap,
         checked_points=int(ts.size),
         tolerance=tol,
         binding=binding,
-        upper_bound=float(diag["upper_bound"]),
+        upper_bound=upper,
     )

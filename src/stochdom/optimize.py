@@ -494,9 +494,9 @@ def _constraint_generation(s, benchmark, p, tol, spec) -> SolveReport:
     if s.d == 1:
         w = PortfolioWeights([1.0])
         cert = verify(portfolio_return_variable(s, w), benchmark, p, tol)
-        ok = cert.worst_gap <= tol
+        ok = cert.dominates
         return _report(s, benchmark, p, spec, w if ok else None, cert, cuts, iterations, ok,
-                       None if ok else f"{no_alloc}; least violated gap: {cert.worst_gap:.6e}")
+                       None if ok else f"{no_alloc}; least violated gap: {_violation(cert):.6e}")
     while True:
         iterations["constraint_rounds"] += 1
         w, _, res = newton_refine(s, benchmark, p, spec, cuts, tol)
@@ -508,8 +508,7 @@ def _constraint_generation(s, benchmark, p, tol, spec) -> SolveReport:
                            f"on the simplex, above lambda.s = {allowed:.6e}, its bound if dominant")
         port = portfolio_return_variable(s, w)
         cert = verify(port, benchmark, p, tol)
-        gap = max(0.0, cert.worst_gap)
-        if gap <= tol:
+        if cert.dominates:
             return _report(s, benchmark, p, spec, w, cert, cuts, iterations, res.converged,
                            res.message)
         new = _new_cuts(s, benchmark, p, w, port, cert, tol, cuts)
@@ -518,7 +517,7 @@ def _constraint_generation(s, benchmark, p, tol, spec) -> SolveReport:
             stop = f"the budget of {MAX_GENERATED_CONSTRAINTS} cut-adding rounds ran out"
         if stop is not None:
             return _report(s, benchmark, p, spec, w, cert, cuts, iterations, False,
-                           f"constraint generation stopped ({stop}); verify fails by {gap:.3e}")
+                           f"constraint generation stopped ({stop}); verify fails by {_violation(cert):.3e}")
         cuts.extend(new)
 
 
@@ -554,6 +553,11 @@ def _new_cuts(s, benchmark, p, w, port, cert, tol, cuts) -> list:
             if len(new) == CUTS_PER_ROUND:
                 break
     return new
+
+
+def _violation(cert) -> float:
+    """How far a certificate fails: its worst gap above 0, or inf when the gap is unbounded."""
+    return max(0.0, cert.worst_gap) if cert.upper_bound < np.inf else np.inf
 
 
 def _report(s, benchmark, p, spec, w, cert, cuts, iterations, converged, message) -> SolveReport:
@@ -592,7 +596,7 @@ def _report(s, benchmark, p, spec, w, cert, cuts, iterations, converged, message
         benchmark_return=mean(benchmark),
         risk_value=risk_value,
         simplex_residual=w.simplex_residual(),
-        dominance_residual=max(0.0, cert.worst_gap),
+        dominance_residual=_violation(cert),
         converged=bool(converged),
         iterations=iterations,
         infeasible=False,

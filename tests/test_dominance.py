@@ -269,10 +269,9 @@ class TestCriticalThresholds:
         for p, fractional in ((3.0, False), (3.5, True)):
             diag: dict = {}
             ts = critical_thresholds(golden_y, golden_x, p, diagnostics=diag)
-            assert set(diag) == {"gaps", "upper_bound", "witness", "lead", "evaluations"}
+            assert set(diag) == {"gaps", "upper_bound", "lead", "evaluations"}
             assert diag["gaps"] == pytest.approx([dominance_gap_at(golden_y, golden_x, p, t) for t in ts],
                                                  rel=1e-12, abs=1e-12)
-            assert diag["witness"] is None
             assert diag["lead"] == 1             # mean(Y) > mean(X) sends the tail gap down
             assert diag["upper_bound"] >= diag["gaps"].max()
             assert (diag["evaluations"] > 0) == fractional
@@ -320,7 +319,7 @@ class TestVerify:
             y, x = random_variable(rng), random_variable(rng)
             p = float(rng.choice([1.0, 2.0, 2.5, 3.0, 4.7]))
             cert = verify(y, x, p)
-            assert cert.dominates == (cert.worst_gap <= cert.tolerance)
+            assert cert.dominates == (cert.upper_bound < math.inf and cert.worst_gap <= cert.tolerance)
 
     def test_affine_invariance_of_verdict(self):
         rng = np.random.default_rng(41)
@@ -457,10 +456,34 @@ class TestCertifiedSupremum:
         assert not cert.dominates
         assert cert.binding == "tail"
         assert cert.upper_bound == math.inf
-        assert cert.worst_t > 10.0 + 10.0 * (10.0 + 1.0)
+        # the largest gap in the window, which ends 10 support widths past the last atom
+        assert cert.worst_t <= 10.0 + 10.0 * (10.0 + 1.0)
         exact = float(gap_exact(y.outcomes, y.probabilities, x.outcomes, x.probabilities, 4.0, cert.worst_t))
-        assert exact > cert.tolerance
         assert cert.worst_gap == pytest.approx(exact, rel=1e-12)
+        # the gap turns positive only past the window (+5.09 at t = 5000):
+        # the unbounded tail alone decides
+        assert cert.worst_gap <= cert.tolerance
+
+    @pytest.mark.parametrize("outcomes, eps, p", [
+        ([-1.0, 1.1], 1e-7, 4.0),
+        ([-1.0, 1.1], 3e-7, 3.5),
+        ([-0.01, 0.01], 3e-8, 3.001),
+        ([-1.0, 1.0], 3e-8, 3.001),     # the same pair in units 100 times larger
+    ])
+    def test_unbounded_tail_never_dominates(self, outcomes, eps, p):
+        # Y = (1 + eps) X: the gap grows without bound, yet a direct sum far
+        # past the atoms cancels to 0.0 or to a huge value of either sign
+        x = DiscreteRandomVariable(outcomes, [0.5, 0.5])
+        y = DiscreteRandomVariable((1.0 + eps) * x.outcomes, x.probabilities)
+        cert = verify(y, x, p)
+        assert not cert.dominates
+        assert cert.upper_bound == math.inf
+        atoms = np.union1d(y.outcomes, x.outcomes)
+        assert cert.worst_t <= atoms[-1] + 10.0 * (atoms[-1] - atoms[0])
+        t = np.array([cert.worst_t])
+        ref = _Shortfall(p - 1.0, y, x)(t)[0]
+        rounding = _ROUNDING * (_Shortfall(p - 1.0, y)(t)[0] + _Shortfall(p - 1.0, x)(t)[0])
+        assert abs(cert.worst_gap - ref) <= 1e-12 * abs(ref) + rounding
 
     def test_exact_tail_coefficients(self):
         # the benchmark's seed-1 order-4 spread pair, 10 support widths past

@@ -1,12 +1,14 @@
 from __future__ import annotations
 
 import json
+import math
 from xml.dom import minidom
 
 import numpy as np
 import pytest
 
 from stochdom import (
+    DominanceCertificate,
     PortfolioWeights,
     demo_scenarios,
     emit_plot,
@@ -250,6 +252,24 @@ class TestCliSolve:
         out = capsys.readouterr().out
         assert code == EXIT_NOT_DOMINANT
         assert "the budget of 1 cut-adding rounds ran out" in out
+
+    def test_unbounded_tail_is_not_converged(self, data_csv, tmp_path, monkeypatch):
+        # gaps within tol in the window do not make up for a gap that is
+        # unbounded in the tail: the weights keep an infinite residual
+        def unbounded(y, x, p, tol):
+            return DominanceCertificate(dominates=False, order=p, worst_t=float(x.outcomes[-1]),
+                                        worst_gap=0.0, checked_points=1, tolerance=tol,
+                                        binding="tail", upper_bound=math.inf)
+
+        monkeypatch.setattr(optimize, "verify", unbounded)
+        s = load_scenarios(data_csv)
+        report = optimize_max_return(s, portfolio_return_variable(s, PortfolioWeights.equal(s.d)), 4.0)
+        assert not report.converged and not report.infeasible
+        assert report.dominance_residual == math.inf
+        out = tmp_path / "report.json"
+        code = main(["max-return", "--data", str(data_csv), "--order", "4", "--json", str(out)])
+        assert code == EXIT_NOT_DOMINANT
+        assert json.loads(out.read_text(encoding="utf-8"))["residuals"]["dominance"] == math.inf
 
     def test_unconverged_weights_say_why_without_verbose(self, data_csv, monkeypatch, capsys):
         monkeypatch.setattr(optimize, "MAX_GENERATED_CONSTRAINTS", 1)
